@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -566,6 +567,77 @@ func BenchmarkAdaptivePolicyStep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w.Run(step)
+	}
+}
+
+// BenchmarkTopKEncodeEF is the codec layer's benchmark for the top-k +
+// error-feedback rung the adaptive policy settles on: one Stream.Encode
+// of an n-element site (k = n/32), the residual carried across
+// iterations, over the payload sizes of the train_adaptive step program
+// (a deep RVH round, a typical site, a whole 5-layer-MLP gradient) and
+// three magnitude distributions — the ReLU-sparse rank-one gradient of
+// a microbatch-1 MLP layer (three quarters exact zeros), a dense
+// Gaussian, and one run of equal magnitudes (the quadratic case of the
+// quickselect this kernel replaced). Four payloads rotate so the
+// residual keeps evolving. 0 allocs/op once the site exists.
+func BenchmarkTopKEncodeEF(b *testing.B) {
+	dists := []struct {
+		name string
+		fill func(rng *rand.Rand, v []float32)
+	}{
+		{"relu-sparse", func(rng *rand.Rand, v []float32) {
+			cols := 192
+			act := make([]float32, cols)
+			for i := range act {
+				if rng.Intn(2) == 0 {
+					act[i] = float32(rng.NormFloat64())
+				}
+			}
+			var delta float32
+			for i := range v {
+				if i%cols == 0 {
+					delta = 0
+					if rng.Intn(2) == 0 {
+						delta = float32(rng.NormFloat64())
+					}
+				}
+				v[i] = delta * act[i%cols]
+			}
+		}},
+		{"gauss", func(rng *rand.Rand, v []float32) {
+			for i := range v {
+				v[i] = float32(rng.NormFloat64())
+			}
+		}},
+		{"all-equal", func(_ *rand.Rand, v []float32) {
+			for i := range v {
+				v[i] = 0.25
+			}
+		}},
+	}
+	for _, n := range []int{4 << 10, 32 << 10, 163600} {
+		for _, d := range dists {
+			b.Run(fmt.Sprintf("%s/n=%d", d.name, n), func(b *testing.B) {
+				rng := rand.New(rand.NewSource(int64(n)))
+				var payloads [4][]float32
+				for i := range payloads {
+					payloads[i] = make([]float32, n)
+					d.fill(rng, payloads[i])
+				}
+				c := compress.TopKCount(n/32, true)
+				st := compress.NewStream(c)
+				enc := make([]float32, c.EncodedLen(n))
+				st.Begin()
+				st.Encode(enc, payloads[0])
+				b.SetBytes(int64(4 * n))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					st.Begin()
+					st.Encode(enc, payloads[i%len(payloads)])
+				}
+			})
+		}
 	}
 }
 

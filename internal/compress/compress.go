@@ -57,16 +57,18 @@ type Codec interface {
 	// agree on payload sizes without headers.
 	EncodedLen(n int) int
 	// Encode packs src into dst, which must have length
-	// EncodedLen(len(src)). ws provides reusable selection scratch; it
-	// may be nil, at the cost of per-call allocation.
+	// EncodedLen(len(src)). ws provides the reusable selection scratch
+	// and must not be nil.
 	Encode(dst, src []float32, ws *Workspace)
 	// Decode unpacks src (the wire words of a len(dst)-element payload)
 	// into dst.
 	Decode(dst, src []float32)
 	// Lossy reports whether Decode∘Encode may differ from the identity.
 	Lossy() bool
-	// ErrorFeedback reports whether encodes through a Stream should
-	// carry the residual of what compression dropped into the next step.
+	// ErrorFeedback reports whether encodes through a Stream carry the
+	// residual of what compression dropped into the next step. Top-k is
+	// the only such codec, and Stream implements its error feedback
+	// fused with the selection rather than generically.
 	ErrorFeedback() bool
 }
 
@@ -78,22 +80,25 @@ func IsNone(c Codec) bool { return c == nil || c.Kind() == KindNone } //adasum:d
 // Workspace is reusable scratch for Encode calls (top-k selection). It
 // must not be shared between goroutines.
 type Workspace struct {
-	mag []uint32
-	idx []int
+	hist *[1 << histBits]uint32 // radix-select bucket counters
+	list []uint32               // indices of the entries at or above the threshold bucket
 }
 
-func (ws *Workspace) magBuf(n int) []uint32 {
-	if cap(ws.mag) < n {
-		ws.mag = make([]uint32, n) //adasum:alloc ok workspace grows on first use (or payload growth) and is reused
+// histBuf returns the zeroed bucket counters.
+func (ws *Workspace) histBuf() *[1 << histBits]uint32 {
+	if ws.hist == nil {
+		ws.hist = new([1 << histBits]uint32) //adasum:alloc ok workspace mints on first use and is reused
+	} else {
+		*ws.hist = [1 << histBits]uint32{}
 	}
-	return ws.mag[:n]
+	return ws.hist
 }
 
-func (ws *Workspace) idxBuf(n int) []int {
-	if cap(ws.idx) < n {
-		ws.idx = make([]int, n) //adasum:alloc ok workspace grows on first use (or payload growth) and is reused
+func (ws *Workspace) listBuf(n int) []uint32 {
+	if cap(ws.list) < n {
+		ws.list = make([]uint32, n) //adasum:alloc ok workspace grows on first use (or candidate-set growth) and is reused
 	}
-	return ws.idx[:n]
+	return ws.list[:n]
 }
 
 // ---------------------------------------------------------------- None
@@ -365,15 +370,11 @@ func (c topKCodec) Encode(dst, src []float32, ws *Workspace) {
 	if k == 0 {
 		return
 	}
-	if ws == nil {
-		ws = &Workspace{} //adasum:alloc ok nil-workspace fallback; steady-state callers pass their stream-owned Workspace
+	h := ws.histBuf()
+	for _, v := range src {
+		h[histBucket(v)]++
 	}
-	idx := ws.idxBuf(k)
-	selectTopK(src, k, ws.magBuf(len(src)), idx)
-	for i, j := range idx {
-		dst[i] = math.Float32frombits(uint32(j))
-		dst[k+i] = src[j]
-	}
+	ws.selectTopK(dst, nil, src, k, false)
 }
 
 //adasum:noalloc
@@ -392,83 +393,131 @@ func (c topKCodec) Decode(dst, src []float32) {
 	}
 }
 
-// selectTopK writes the indices of the k largest-magnitude entries of
-// src into idx (ascending index order — deterministic under ties: ties
-// at the threshold magnitude resolve to the lowest indices). mag is
-// len(src) scratch. Selection runs on the sign-stripped bit patterns:
-// for non-negative floats the uint32 ordering matches the numeric one,
-// comparisons are total (no NaN traps in the quickselect), and NaN
+// Top-k selection is a most-significant-digit radix select on the
+// sign-stripped bit patterns. For non-negative floats the uint32
+// ordering matches the numeric one, comparisons are total, and NaN
 // patterns order above +Inf — so non-finite entries are always selected
 // and transmitted exactly, propagating a diverged gradient loudly
-// instead of corrupting the selection.
-func selectTopK(src []float32, k int, mag []uint32, idx []int) {
+// instead of corrupting the selection. The caller's pass over the
+// payload histograms the top histBits of every magnitude (exponent and
+// leading mantissa bits); selectTopK makes the one other pass, listing
+// the entries at or above the bucket that holds the k-th largest, and
+// everything after works on that short list. The pass count is fixed,
+// so the cost is linear on every input, runs of equal magnitudes
+// included.
+const (
+	magBits    = 31
+	histBits   = 11
+	refineBits = 10 // must divide magBits - histBits
+)
+
+// histBucket returns v's first-level bucket: the top histBits of its
+// sign-stripped bit pattern.
+func histBucket(v float32) uint32 {
+	return math.Float32bits(v) << 1 >> (32 - histBits)
+}
+
+// addHist is the first pass of an error-feedback encode: r becomes the
+// effective payload src + r in place and h gains its first-level
+// histogram. len(r) must equal len(src).
+//
+//adasum:noalloc
+func addHist(h *[1 << histBits]uint32, r, src []float32) {
+	r = r[:len(src)]
 	for i, v := range src {
-		mag[i] = absBits(v)
+		e := v + r[i]
+		r[i] = e
+		h[histBucket(e)]++
 	}
-	thresh := kthLargest(mag, k)
-	// First pass: everything strictly above the threshold magnitude.
+}
+
+// listFrom fills list with the ascending indices of v's entries in
+// first-level bucket b or above. list needs one slot more than there
+// are such entries: the store is unconditional and only the advance is
+// conditional, so the scan carries no unpredictable branch. Kept out of
+// line: inlined into selectTopK the loop's cursors spill to the stack.
+//
+//adasum:noalloc
+//go:noinline
+func listFrom(list []uint32, v []float32, b uint32) []uint32 {
 	n := 0
-	for i, v := range src {
-		if absBits(v) > thresh {
-			idx[n] = i
+	for i, x := range v {
+		list[n] = uint32(i)
+		if histBucket(x) >= b {
 			n++
 		}
 	}
-	// Second pass: fill the remainder with threshold-magnitude entries
-	// in index order.
-	for i := 0; i < len(src) && n < k; i++ {
-		if absBits(src[i]) == thresh {
-			idx[n] = i
-			n++
-		}
-	}
+	return list[:n]
 }
 
-// kthLargest returns the k-th largest element (1 <= k <= len(a)) of a,
-// partially sorting a in place by deterministic quickselect
-// (median-of-three pivots).
-func kthLargest(a []uint32, k int) uint32 {
-	lo, hi := 0, len(a)-1
-	target := k - 1
-	for lo < hi {
-		p := partitionDesc(a, lo, hi)
-		switch {
-		case p == target:
-			return a[p]
-		case p < target:
-			lo = p + 1
-		default:
-			hi = p - 1
-		}
+// selectTopK emits the k largest-magnitude entries of v
+// (1 <= k <= len(v)), given v's first-level histogram in ws.hist (which
+// it consumes): everything strictly above the k-th largest magnitude in
+// ascending index order, then threshold-magnitude ties lowest index
+// first. With out nil the entries go to dst as wire words (k indices,
+// then k values); otherwise they are scattered into out, which the
+// caller zeroed. With ef set, v is an error-feedback site's effective
+// payload and becomes its residual in place: a kept entry leaves e - e
+// (+0, or NaN for a non-finite e); a dropped entry already is what was
+// dropped.
+//
+//adasum:noalloc
+func (ws *Workspace) selectTopK(dst, out, v []float32, k int, ef bool) {
+	h := ws.hist
+	b, above := uint32(len(h)-1), 0
+	for above+int(h[b]) < k {
+		above += int(h[b])
+		b--
 	}
-	return a[lo]
-}
+	list := listFrom(ws.listBuf(above+int(h[b])+1), v, b)
 
-// partitionDesc partitions a[lo..hi] around a median-of-three pivot in
-// descending order and returns the pivot's final position.
-func partitionDesc(a []uint32, lo, hi int) int {
-	mid := lo + (hi-lo)/2
-	// Order a[lo], a[mid], a[hi] descending; median lands at mid.
-	if a[mid] > a[lo] {
-		a[lo], a[mid] = a[mid], a[lo]
+	// Refine the threshold bucket to the exact k-th largest magnitude,
+	// refineBits at a time. Listed entries outside the bucket count into
+	// a spare slot rather than behind a branch that would mispredict.
+	const mask = 1<<refineBits - 1
+	thresh := b
+	for shift := uint(magBits - histBits); shift > 0; {
+		sub := h[:mask+2]
+		clear(sub)
+		for _, j := range list {
+			m := absBits(v[j])
+			d := m >> (shift - refineBits) & mask
+			if m>>shift != thresh {
+				d = mask + 1
+			}
+			sub[d]++
+		}
+		d := uint32(mask)
+		for above+int(sub[d]) < k {
+			above += int(sub[d])
+			d--
+		}
+		thresh = thresh<<refineBits | d
+		shift -= refineBits
 	}
-	if a[hi] > a[lo] {
-		a[lo], a[hi] = a[hi], a[lo]
-	}
-	if a[hi] > a[mid] {
-		a[mid], a[hi] = a[hi], a[mid]
-	}
-	pivot := a[mid]
-	a[mid], a[hi] = a[hi], a[mid] // park the pivot at hi
-	store := lo
-	for i := lo; i < hi; i++ {
-		if a[i] > pivot {
-			a[i], a[store] = a[store], a[i]
-			store++
+
+	g, t := 0, above // wire slots: strictly-above entries, then ties
+	for _, j := range list {
+		x := v[j]
+		p := g
+		if m := absBits(x); m > thresh {
+			g++
+		} else if m == thresh && t < k {
+			p = t
+			t++
+		} else {
+			continue
+		}
+		if out != nil {
+			out[j] = x
+		} else {
+			dst[p] = math.Float32frombits(j)
+			dst[k+p] = x
+		}
+		if ef {
+			v[j] = x - x
 		}
 	}
-	a[store], a[hi] = a[hi], a[store]
-	return store
 }
 
 // ---------------------------------------------------------------- Stream
@@ -490,8 +539,6 @@ type Stream struct {
 	ws    Workspace
 	pos   int         // encode-site cursor within the current step
 	res   [][]float32 // per-site residuals (error-feedback codecs only)
-	eff   []float32   // src+residual working vector
-	dec   []float32   // decode scratch for the residual update
 	enc   []float32   // wire-word scratch for Quantize
 }
 
@@ -549,25 +596,32 @@ func (s *Stream) Begin() { s.pos = 0 }
 //
 //adasum:noalloc
 func (s *Stream) Encode(dst, src []float32) {
-	//adasum:dyncall ok ErrorFeedback implementations return constants
-	if !s.codec.ErrorFeedback() {
-		//adasum:dyncall ok codec Encode implementations are noalloc-marked in this package
-		s.codec.Encode(dst, src, &s.ws)
+	if tk, ok := s.codec.(topKCodec); ok && tk.ef {
+		k := tk.kFor(len(src))
+		checkLen("topk encode", len(dst), 2*k)
+		s.encodeEF(dst, nil, src, k)
 		return
 	}
-	r := s.site(len(src))
-	eff := growF32(&s.eff, len(src))
-	for i := range src {
-		eff[i] = src[i] + r[i]
-	}
 	//adasum:dyncall ok codec Encode implementations are noalloc-marked in this package
-	s.codec.Encode(dst, eff, &s.ws)
-	dec := growF32(&s.dec, len(src))
-	//adasum:dyncall ok codec Decode implementations are noalloc-marked in this package
-	s.codec.Decode(dec, dst)
-	for i := range r {
-		r[i] = eff[i] - dec[i]
+	s.codec.Encode(dst, src, &s.ws)
+}
+
+// encodeEF is the error-feedback top-k encode of the current site. The
+// site is streamed twice and nothing is decoded: the residual r becomes
+// the effective payload src + r in place while its magnitudes are
+// histogrammed, then the selection emits the kept entries (wire words
+// into dst, or in place into out, which may alias src) and zeroes them
+// in r — which is then the new residual.
+//
+//adasum:noalloc
+func (s *Stream) encodeEF(dst, out, src []float32, k int) {
+	r := s.site(len(src))
+	if k == 0 {
+		return
 	}
+	addHist(s.ws.histBuf(), r, src)
+	clear(out)
+	s.ws.selectTopK(dst, out, r, k, true)
 }
 
 // Quantize applies the codec's loss to x in place — decode(encode(x)),
@@ -575,10 +629,16 @@ func (s *Stream) Encode(dst, src []float32) {
 // wire words for a peer. This is the bucket-granularity source encode of
 // the overlap engine: the fused buffer is quantized once at launch, the
 // way a real fp16 fusion buffer casts the gradient before the
-// collective. Lossless codecs leave x untouched.
+// collective. Lossless codecs leave x untouched; error-feedback top-k
+// keeps the selected entries and zeroes the rest with no wire round
+// trip.
 func (s *Stream) Quantize(x []float32) {
 	//adasum:dyncall ok Lossy implementations return constants
 	if !s.codec.Lossy() {
+		return
+	}
+	if tk, ok := s.codec.(topKCodec); ok && tk.ef {
+		s.encodeEF(nil, x, x, tk.kFor(len(x)))
 		return
 	}
 	//adasum:dyncall ok codec EncodedLen implementations are arithmetic over the payload length

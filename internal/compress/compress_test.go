@@ -1,9 +1,12 @@
 package compress
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/float16"
 )
@@ -271,5 +274,343 @@ func TestNonFiniteGradientsPropagateLoudly(t *testing.T) {
 	}
 	if !math.IsNaN(float64(got[20])) {
 		t.Fatalf("topk dropped the NaN: got %v", got[20])
+	}
+}
+
+// ------------------------------------------------------------ top-k oracle
+//
+// The formulation the radix-select kernel replaced, kept as the
+// reference: quickselect threshold, generic effective-payload /
+// Decode / subtract error feedback, encode-then-decode Quantize. The
+// production path must equal it bit for bit.
+
+// refSelectTopK writes the indices of the k largest-magnitude entries of
+// src into idx: everything strictly above the k-th largest magnitude in
+// index order, then threshold-magnitude ties lowest index first.
+func refSelectTopK(src []float32, k int) []int {
+	mag := make([]uint32, len(src))
+	for i, v := range src {
+		mag[i] = absBits(v)
+	}
+	thresh := refKthLargest(mag, k)
+	idx := make([]int, 0, k)
+	for i, v := range src {
+		if absBits(v) > thresh {
+			idx = append(idx, i)
+		}
+	}
+	for i := 0; i < len(src) && len(idx) < k; i++ {
+		if absBits(src[i]) == thresh {
+			idx = append(idx, i)
+		}
+	}
+	return idx
+}
+
+// refKthLargest returns the k-th largest element (1 <= k <= len(a)) of
+// a by quickselect with median-of-three pivots — quadratic on runs of
+// equal values, which is why tie-heavy oracle cases stay small.
+func refKthLargest(a []uint32, k int) uint32 {
+	lo, hi := 0, len(a)-1
+	target := k - 1
+	for lo < hi {
+		p := refPartitionDesc(a, lo, hi)
+		switch {
+		case p == target:
+			return a[p]
+		case p < target:
+			lo = p + 1
+		default:
+			hi = p - 1
+		}
+	}
+	return a[lo]
+}
+
+func refPartitionDesc(a []uint32, lo, hi int) int {
+	mid := lo + (hi-lo)/2
+	if a[mid] > a[lo] {
+		a[lo], a[mid] = a[mid], a[lo]
+	}
+	if a[hi] > a[lo] {
+		a[lo], a[hi] = a[hi], a[lo]
+	}
+	if a[hi] > a[mid] {
+		a[mid], a[hi] = a[hi], a[mid]
+	}
+	pivot := a[mid]
+	a[mid], a[hi] = a[hi], a[mid]
+	store := lo
+	for i := lo; i < hi; i++ {
+		if a[i] > pivot {
+			a[i], a[store] = a[store], a[i]
+			store++
+		}
+	}
+	a[store], a[hi] = a[hi], a[store]
+	return store
+}
+
+func refTopKEncode(c topKCodec, dst, src []float32) {
+	k := c.kFor(len(src))
+	if k == 0 {
+		return
+	}
+	for i, j := range refSelectTopK(src, k) {
+		dst[i] = math.Float32frombits(uint32(j))
+		dst[k+i] = src[j]
+	}
+}
+
+// refStream is the reference Stream for a top-k codec.
+type refStream struct {
+	c   topKCodec
+	pos int
+	res [][]float32
+}
+
+func (s *refStream) begin() { s.pos = 0 }
+
+func (s *refStream) encode(dst, src []float32) {
+	if !s.c.ef {
+		refTopKEncode(s.c, dst, src)
+		return
+	}
+	for len(s.res) <= s.pos {
+		s.res = append(s.res, nil)
+	}
+	if s.res[s.pos] == nil {
+		s.res[s.pos] = make([]float32, len(src))
+	}
+	r := s.res[s.pos]
+	s.pos++
+	eff := make([]float32, len(src))
+	for i := range src {
+		eff[i] = src[i] + r[i]
+	}
+	refTopKEncode(s.c, dst, eff)
+	dec := make([]float32, len(src))
+	s.c.Decode(dec, dst)
+	for i := range r {
+		r[i] = eff[i] - dec[i]
+	}
+}
+
+func (s *refStream) quantize(x []float32) {
+	enc := make([]float32, s.c.EncodedLen(len(x)))
+	s.encode(enc, x)
+	s.c.Decode(x, enc)
+}
+
+func (s *refStream) sourceResidualL2() float64 {
+	if len(s.res) == 0 {
+		return 0
+	}
+	var sum float64
+	for _, v := range s.res[0] {
+		sum += float64(v) * float64(v)
+	}
+	return math.Sqrt(sum)
+}
+
+// bitsEqual returns the first index at which the equal-length a and b
+// differ bitwise, or -1.
+func bitsEqual(a, b []float32) int {
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// checkTopKAgainstOracle drives one codec through three steps of the
+// engine's site program — Quantize at site 0, then Encode of the halves
+// an RVH scatter would ship — on both the production Stream and the
+// reference, and requires identical bits everywhere: the quantized
+// buffer, the wire words, every site's residual and SourceResidualL2.
+// steps[s] is step s's payload; all have the same length.
+func checkTopKAgainstOracle(t testing.TB, c Codec, steps [][]float32) {
+	t.Helper()
+	st := NewStream(c)
+	ref := &refStream{c: c.(topKCodec)}
+	for s, payload := range steps {
+		got := append([]float32(nil), payload...)
+		want := append([]float32(nil), payload...)
+		st.Begin()
+		ref.begin()
+		st.Quantize(got)
+		ref.quantize(want)
+		if i := bitsEqual(got, want); i >= 0 {
+			t.Fatalf("%s step %d: quantized buffer differs at %d: %x != %x", c, s, i,
+				math.Float32bits(got[i]), math.Float32bits(want[i]))
+		}
+		for lo, hi := 0, len(payload); hi-lo > 1; lo += (hi - lo) / 2 {
+			part := payload[lo : lo+(hi-lo)/2]
+			encGot := make([]float32, c.EncodedLen(len(part)))
+			encWant := make([]float32, len(encGot))
+			st.Encode(encGot, part)
+			ref.encode(encWant, part)
+			if i := bitsEqual(encGot, encWant); i >= 0 {
+				t.Fatalf("%s step %d: wire words of a %d-element site differ at %d: %x != %x", c, s, len(part), i,
+					math.Float32bits(encGot[i]), math.Float32bits(encWant[i]))
+			}
+		}
+		gotRes := st.Snapshot()
+		if len(gotRes) != len(ref.res) {
+			t.Fatalf("%s step %d: %d residual sites, want %d", c, s, len(gotRes), len(ref.res))
+		}
+		for site := range ref.res {
+			if i := bitsEqual(gotRes[site], ref.res[site]); i >= 0 {
+				t.Fatalf("%s step %d: site %d residual differs at %d: %x != %x", c, s, site, i,
+					math.Float32bits(gotRes[site][i]), math.Float32bits(ref.res[site][i]))
+			}
+		}
+		// The norm's NaN payload is codegen-dependent and unobservable (the
+		// policy only compares it), so any NaN equals any NaN.
+		if g, w := st.SourceResidualL2(), ref.sourceResidualL2(); math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
+			t.Fatalf("%s step %d: SourceResidualL2 %v (%x), want %v (%x)", c, s, g, math.Float64bits(g), w, math.Float64bits(w))
+		}
+	}
+}
+
+// topKCases builds the payload families of the oracle table for an
+// n-element site. Tie-heavy families are quadratic in the oracle and
+// are only produced for n <= 4097.
+func topKCases(n int) map[string][]float32 {
+	rng := rand.New(rand.NewSource(int64(n) + 77))
+	gauss := func(scale float64) []float32 {
+		out := make([]float32, n)
+		for i := range out {
+			out[i] = float32(rng.NormFloat64() * scale)
+		}
+		return out
+	}
+	cases := map[string][]float32{"gauss": gauss(1)}
+	relu := gauss(1)
+	for i := range relu {
+		if rng.Intn(4) != 0 {
+			relu[i] = 0
+		}
+	}
+	cases["relu-sparse"] = relu
+	denorm := gauss(1e-41)
+	for i := range denorm {
+		if i%7 == 0 {
+			denorm[i] = float32(math.Copysign(0, -1))
+		}
+	}
+	cases["denormal+signed-zero"] = denorm
+	if n <= 4097 {
+		ties := make([]float32, n)
+		for i := range ties {
+			ties[i] = float32(1 + rng.Intn(3))
+			if rng.Intn(2) == 0 {
+				ties[i] = -ties[i]
+			}
+		}
+		cases["ties"] = ties
+		cases["zeros"] = make([]float32, n)
+		nonfinite := gauss(1)
+		for i := range nonfinite {
+			switch rng.Intn(6) {
+			case 0:
+				nonfinite[i] = float32(math.NaN())
+			case 1:
+				nonfinite[i] = math.Float32frombits(0xFFC00123)
+			case 2:
+				nonfinite[i] = float32(math.Inf(1 - 2*rng.Intn(2)))
+			}
+		}
+		cases["nan+inf"] = nonfinite
+	}
+	return cases
+}
+
+// TestTopKMatchesOracle is the bit-exactness contract of the
+// radix-select kernel, over payload lengths from empty to a full
+// 5-layer-MLP bucket, k from 1 to n, and the inputs a training run can
+// produce at its worst: heavy threshold ties, signed zeros, denormals,
+// infinities and more NaNs than k.
+func TestTopKMatchesOracle(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 3, 255, 4097, 32768, 163600} {
+		codecs := []Codec{TopKCount(1, true), TopK(0.01, true), TopK(1, true), TopK(0.01, false), TopKCount(3, false)}
+		if n > 4097 {
+			codecs = codecs[:2] // k = n sorts every magnitude through the quadratic oracle
+		}
+		for name, base := range topKCases(n) {
+			steps := [][]float32{base, base, base}
+			if name == "gauss" {
+				steps[1], steps[2] = topKCases(n + 1)["gauss"][:n], randVec(n, 5, 3)
+			}
+			for _, c := range codecs {
+				t.Run(fmt.Sprintf("%s/n=%d/%s", name, n, c), func(t *testing.T) {
+					checkTopKAgainstOracle(t, c, steps)
+				})
+			}
+		}
+	}
+}
+
+// FuzzTopKEncode feeds arbitrary bit patterns (so NaN payloads,
+// denormals and signed zeros all occur) and arbitrary k through the
+// same three-step oracle comparison.
+func FuzzTopKEncode(f *testing.F) {
+	for _, n := range []int{1, 3, 255} {
+		for _, payload := range topKCases(n) {
+			raw := make([]byte, 4*len(payload))
+			for i, v := range payload {
+				binary.LittleEndian.PutUint32(raw[4*i:], math.Float32bits(v))
+			}
+			f.Add(raw, uint16(1), true)
+			f.Add(raw, uint16(n), false)
+		}
+	}
+	f.Fuzz(func(t *testing.T, raw []byte, k uint16, ef bool) {
+		// The oracle is quadratic on ties; stay where it is instant.
+		payload := make([]float32, min(len(raw)/4, 4097))
+		for i := range payload {
+			payload[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
+		}
+		checkTopKAgainstOracle(t, TopKCount(int(k)+1, ef), [][]float32{payload, payload, payload})
+	})
+}
+
+// TestTopKEncodeIsLinear is the regression test for the quadratic
+// quickselect: payloads that are one long run of equal magnitudes (a
+// dead ReLU layer's exact zeros) or already sorted took minutes to
+// hours per encode; the fixed-pass-count kernel takes milliseconds (the
+// budget leaves room for the race detector on a loaded machine).
+func TestTopKEncodeIsLinear(t *testing.T) {
+	const n = 1 << 22
+	budget := 30 * time.Second
+	payloads := map[string][]float32{
+		"all-zero":   make([]float32, n),
+		"all-equal":  make([]float32, n),
+		"99%-zero":   make([]float32, n),
+		"ascending":  make([]float32, n),
+		"descending": make([]float32, n),
+	}
+	for i := 0; i < n; i++ {
+		payloads["all-equal"][i] = -2.5
+		if i%100 == 0 {
+			payloads["99%-zero"][i] = float32(i)
+		}
+		payloads["ascending"][i] = float32(i)
+		payloads["descending"][i] = float32(n - i)
+	}
+	for name, src := range payloads {
+		for _, c := range []Codec{TopK(0.01, true), TopK(1, true)} {
+			st := NewStream(c)
+			enc := make([]float32, c.EncodedLen(n))
+			start := time.Now()
+			for step := 0; step < 2; step++ {
+				st.Begin()
+				st.Encode(enc, src)
+			}
+			if took := time.Since(start); took > budget {
+				t.Errorf("%s %s: two %d-element encodes took %v, budget %v", name, c, n, took, budget)
+			}
+		}
 	}
 }
