@@ -641,6 +641,92 @@ func BenchmarkTopKEncodeEF(b *testing.B) {
 	}
 }
 
+// Micro-benchmarks of the lane kernels (internal/tensor/lanes.go) at the
+// shapes the adasum-bench workloads run them: the BERT proxy's 128x128
+// encoder layers at microbatch 16 (train_compute), 4 (serve_mix's batch;
+// that workload's own layers are smaller) and 1 (train_comm, the scalar
+// path), the optimizers over a model-sized vector, and the element-wise
+// family over a fusion bucket and over one 128-wide weight row (what
+// Dense.Backward passes Axpy). All must report 0 allocs/op.
+// internal/tensor's BenchmarkDenseCrossover is the evidence for the
+// batch crossover.
+
+func benchDense(batch int) (*nn.Network, []float32) {
+	net := nn.NewNetwork(nn.NewDense("fc", 128, 128))
+	net.Init(rand.New(rand.NewSource(5)))
+	x := randVec(batch*128, 6)
+	net.Forward(x, batch) // size the layer's buffers
+	return net, x
+}
+
+func BenchmarkDenseForward(b *testing.B) {
+	for _, batch := range []int{1, 4, 16} {
+		b.Run(fmt.Sprintf("batch%d", batch), func(b *testing.B) {
+			net, x := benchDense(batch)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				net.Forward(x, batch)
+			}
+		})
+	}
+}
+
+func BenchmarkDenseBackward(b *testing.B) {
+	for _, batch := range []int{1, 16} {
+		b.Run(fmt.Sprintf("batch%d", batch), func(b *testing.B) {
+			net, _ := benchDense(batch)
+			dy := randVec(batch*128, 7)
+			net.Backward(dy, batch)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				net.Backward(dy, batch)
+			}
+		})
+	}
+}
+
+func benchOptimizer(b *testing.B, opt optim.Optimizer) {
+	const n = 1 << 18
+	p, g := randVec(n, 8), randVec(n, 9)
+	opt.Step(p, g, 1e-3) // allocate the state
+	b.SetBytes(4 * n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		opt.Step(p, g, 1e-3)
+	}
+}
+
+func BenchmarkAdamStep(b *testing.B)     { benchOptimizer(b, optim.NewAdam()) }
+func BenchmarkMomentumStep(b *testing.B) { benchOptimizer(b, optim.NewMomentum(0.9)) }
+
+func BenchmarkScaledCombine(b *testing.B) {
+	const n = 32 << 10 // one 128 KiB fusion bucket
+	x, y, dst := randVec(n, 10), randVec(n, 11), make([]float32, n)
+	b.SetBytes(4 * n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tensor.ScaledCombine(dst, 0.75, x, 0.5, y)
+	}
+}
+
+func BenchmarkAxpy(b *testing.B) {
+	for _, n := range []int{128, 32 << 10} {
+		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
+			x, y := randVec(n, 12), randVec(n, 13)
+			b.SetBytes(int64(4 * n))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tensor.Axpy(1e-9, x, y)
+			}
+		})
+	}
+}
+
 func BenchmarkMLPForwardBackward(b *testing.B) {
 	net := nn.NewMLP(196, 64, 10)
 	net.Init(rand.New(rand.NewSource(5)))

@@ -49,6 +49,10 @@
 //
 // See DESIGN.md for the design record of the reduction hot path — the
 // fused single-pass dot/norm kernels (with their AVX+FMA fast path), the
+// bit-exact AVX lane kernels behind the rest of the per-rank arithmetic
+// (tensor.Axpy/Sub/ScaledCombine, DenseForward under nn.Dense,
+// AdamUpdate/MomentumUpdate under optim — each one assembly body beside
+// the pure-Go twin that defines it; "Lane kernels"), the
 // workspace-owning adasum.Reducer, the pooled communication buffers, the
 // in-place recursive-vector-halving collectives, the sparse
 // event-driven fabric and its parallel-rank determinism argument

@@ -32,8 +32,25 @@ func (d *Dataset) Sample(i int) ([]float32, int) {
 
 // Batch gathers the given sample indices into freshly allocated buffers.
 func (d *Dataset) Batch(indices []int) ([]float32, []int) {
-	x := make([]float32, len(indices)*d.Dim)
-	labels := make([]int, len(indices))
+	return d.BatchInto(nil, nil, indices)
+}
+
+// BatchInto is Batch into caller-owned buffers: it gathers the given
+// sample indices into x and labels, reallocating either only when its
+// capacity is too small, and returns the filled slices (pass them back
+// in next time). The trainer's workers reuse one pair per worker, so a
+// steady-state step allocates no batch.
+func (d *Dataset) BatchInto(x []float32, labels []int, indices []int) ([]float32, []int) {
+	if n := len(indices) * d.Dim; cap(x) < n {
+		x = make([]float32, n)
+	} else {
+		x = x[:n]
+	}
+	if cap(labels) < len(indices) {
+		labels = make([]int, len(indices))
+	} else {
+		labels = labels[:len(indices)]
+	}
 	for j, i := range indices {
 		copy(x[j*d.Dim:(j+1)*d.Dim], d.X[i*d.Dim:(i+1)*d.Dim])
 		labels[j] = d.Labels[i]

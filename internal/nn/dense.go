@@ -3,6 +3,8 @@ package nn
 import (
 	"fmt"
 	"math/rand"
+
+	"repro/internal/tensor"
 )
 
 // Dense is a fully connected layer: y = xW^T + b, with W stored row-major
@@ -19,6 +21,11 @@ type Dense struct {
 	y    []float32 // output buffer
 	dx   []float32 // input-gradient buffer
 	last int       // batch of the cached forward
+
+	// scratch is tensor.DenseForward's working memory, shared by every
+	// Dense of the owning Network (layers run one at a time); nil for a
+	// layer used on its own, which then takes the scalar path.
+	scratch []float32
 }
 
 // NewDense creates a fully connected layer with bias.
@@ -62,55 +69,43 @@ func (d *Dense) Init(rng *rand.Rand) {
 	}
 }
 
+// Forward is tensor.DenseForward over the bound weights: batches of two
+// or more samples run with samples on the vector lanes where the CPU has
+// them, bit for bit the scalar loop's result.
 func (d *Dense) Forward(x []float32, batch int) []float32 {
 	if len(x) != batch*d.in {
 		panic(fmt.Sprintf("nn: Dense %s forward got %d values, want %d", d.name, len(x), batch*d.in))
 	}
 	d.x = x
 	d.last = batch
-	d.y = buf(d.y, batch*d.out)
-	for s := 0; s < batch; s++ {
-		xi := x[s*d.in : (s+1)*d.in]
-		yi := d.y[s*d.out : (s+1)*d.out]
-		for o := 0; o < d.out; o++ {
-			row := d.w[o*d.in : (o+1)*d.in]
-			var acc float32
-			i := 0
-			for ; i+4 <= d.in; i += 4 {
-				acc += row[i]*xi[i] + row[i+1]*xi[i+1] + row[i+2]*xi[i+2] + row[i+3]*xi[i+3]
-			}
-			for ; i < d.in; i++ {
-				acc += row[i] * xi[i]
-			}
-			if d.withBias {
-				acc += d.b[o]
-			}
-			yi[o] = acc
-		}
-	}
+	d.y = grow(d.y, batch*d.out) // every element is written below
+	tensor.DenseForward(d.y, x, d.w, d.b, batch, d.in, d.out, d.scratch)
 	return d.y
 }
 
+// Backward accumulates, for every (sample, output) with a non-zero
+// upstream gradient g, dx[s] += g*w[o] and then gw[o] += g*x[s] — two
+// tensor.Axpy calls, element for element the operations of a fused loop
+// since dx, gw, w and x never overlap. Outputs are the outer loop so
+// that w[o] and gw[o] stay in L1 across the batch; every element of dx
+// still receives its terms in ascending o and every element of gw and gb
+// in ascending s, so the sums round exactly as with samples outermost.
+// Skipping g == 0 is what makes ReLU sparsity pay.
 func (d *Dense) Backward(dy []float32, batch int) []float32 {
 	if batch != d.last {
 		panic(fmt.Sprintf("nn: Dense %s backward batch %d != forward batch %d", d.name, batch, d.last))
 	}
 	d.dx = buf(d.dx, batch*d.in)
-	for s := 0; s < batch; s++ {
-		xi := d.x[s*d.in : (s+1)*d.in]
-		dyi := dy[s*d.out : (s+1)*d.out]
-		dxi := d.dx[s*d.in : (s+1)*d.in]
-		for o := 0; o < d.out; o++ {
-			g := dyi[o]
+	for o := 0; o < d.out; o++ {
+		row := d.w[o*d.in : (o+1)*d.in]
+		grow := d.gw[o*d.in : (o+1)*d.in]
+		for s := 0; s < batch; s++ {
+			g := dy[s*d.out+o]
 			if g == 0 {
 				continue
 			}
-			row := d.w[o*d.in : (o+1)*d.in]
-			grow := d.gw[o*d.in : (o+1)*d.in]
-			for i := 0; i < d.in; i++ {
-				dxi[i] += g * row[i]
-				grow[i] += g * xi[i]
-			}
+			tensor.Axpy(g, row, d.dx[s*d.in:(s+1)*d.in])
+			tensor.Axpy(g, d.x[s*d.in:(s+1)*d.in], grow)
 			if d.withBias {
 				d.gb[o] += g
 			}

@@ -42,15 +42,19 @@ type Layer interface {
 	Backward(dy []float32, batch int) []float32
 }
 
-// buf grows-or-reuses a scratch slice, zeroing it.
-func buf(s []float32, n int) []float32 {
+// grow reuses s as an n-element buffer when its capacity allows and
+// allocates a new one otherwise; the contents are unspecified.
+func grow(s []float32, n int) []float32 {
 	if cap(s) < n {
 		return make([]float32, n)
 	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
+	return s[:n]
+}
+
+// buf grows-or-reuses a scratch slice, zeroing it.
+func buf(s []float32, n int) []float32 {
+	s = grow(s, n)
+	clear(s)
 	return s
 }
 

@@ -7,16 +7,15 @@ import "math"
 // onehot, scaled by 1/batch so the resulting parameter gradient is the
 // batch mean). The returned gradient buffer is freshly allocated.
 func SoftmaxCrossEntropy(logits []float32, labels []int, batch, classes int) (float64, []float32) {
-	return softmaxCE(logits, labels, batch, classes, true)
+	grad := make([]float32, batch*classes)
+	return softmaxCE(logits, labels, batch, classes, grad), grad
 }
 
-func softmaxCE(logits []float32, labels []int, batch, classes int, wantGrad bool) (float64, []float32) {
-	if len(logits) != batch*classes || len(labels) != batch {
+// softmaxCE returns the loss and, when grad is non-nil, overwrites grad
+// (batch*classes values) with dLoss/dLogits.
+func softmaxCE(logits []float32, labels []int, batch, classes int, grad []float32) float64 {
+	if len(logits) != batch*classes || len(labels) != batch || (grad != nil && len(grad) != batch*classes) {
 		panic("nn: SoftmaxCrossEntropy size mismatch")
-	}
-	var grad []float32
-	if wantGrad {
-		grad = make([]float32, batch*classes)
 	}
 	var total float64
 	inv := 1 / float64(batch)
@@ -36,7 +35,7 @@ func softmaxCE(logits []float32, labels []int, batch, classes int, wantGrad bool
 		lbl := labels[s]
 		logp := float64(row[lbl]-maxv) - math.Log(sum)
 		total -= logp
-		if wantGrad {
+		if grad != nil {
 			g := grad[s*classes : (s+1)*classes]
 			for c := 0; c < classes; c++ {
 				p := math.Exp(float64(row[c]-maxv)) / sum
@@ -45,7 +44,7 @@ func softmaxCE(logits []float32, labels []int, batch, classes int, wantGrad bool
 			g[lbl] -= float32(inv)
 		}
 	}
-	return total * inv, grad
+	return total * inv
 }
 
 // MSE computes the mean squared error 0.5*mean(‖y-target‖²) and its

@@ -15,6 +15,8 @@ type Network struct {
 	params []float32
 	grads  []float32
 	layout tensor.Layout
+
+	dlogits []float32 // Gradient's loss-gradient buffer, reused across calls
 }
 
 // NewNetwork chains the layers, validates adjacent dimensions, allocates
@@ -56,6 +58,21 @@ func NewNetwork(layers ...Layer) *Network {
 		sz := pl.ParamSize()
 		pl.Bind(n.params[off:off+sz], n.grads[off:off+sz])
 		off += sz
+	}
+	// One forward scratch, sized for the largest Dense, serves them all.
+	need := 0
+	for _, pl := range bindable {
+		if d, ok := pl.(*Dense); ok {
+			need = max(need, tensor.DenseScratchLen(d.in, d.out))
+		}
+	}
+	if need > 0 {
+		scratch := make([]float32, need)
+		for _, pl := range bindable {
+			if d, ok := pl.(*Dense); ok {
+				d.scratch = scratch
+			}
+		}
 	}
 	return n
 }
@@ -140,16 +157,16 @@ func (n *Network) Backward(dy []float32, batch int) {
 func (n *Network) Gradient(x []float32, labels []int, batch int) float64 {
 	n.ZeroGrads()
 	logits := n.Forward(x, batch)
-	loss, dlogits := SoftmaxCrossEntropy(logits, labels, batch, n.OutDim())
-	n.Backward(dlogits, batch)
+	n.dlogits = grow(n.dlogits, len(logits))
+	loss := softmaxCE(logits, labels, batch, n.OutDim(), n.dlogits)
+	n.Backward(n.dlogits, batch)
 	return loss
 }
 
 // Loss computes the mean cross-entropy without touching gradients.
 func (n *Network) Loss(x []float32, labels []int, batch int) float64 {
 	logits := n.Forward(x, batch)
-	loss, _ := softmaxCE(logits, labels, batch, n.OutDim(), false)
-	return loss
+	return softmaxCE(logits, labels, batch, n.OutDim(), nil)
 }
 
 // Accuracy returns the fraction of samples whose argmax logit matches the

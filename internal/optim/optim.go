@@ -118,18 +118,14 @@ func (m *Momentum) StateSize() int   { return 1 }
 func (m *Momentum) Snapshot() State  { return State{Vecs: cloneVecs(m.v)} }
 func (m *Momentum) Restore(s State)  { m.v = s.vecAt(0) }
 
+// Step is tensor.MomentumUpdate over the momentum vector, which panics
+// unless params, grads and the (possibly restored) state are equally
+// long.
 func (m *Momentum) Step(params, grads []float32, lr float64) {
 	if m.v == nil {
 		m.v = make([]float32, len(params))
 	}
-	mu := float32(m.Mu)
-	wd := float32(m.WeightDecay)
-	l := float32(lr)
-	for i, g := range grads {
-		g += wd * params[i]
-		m.v[i] = mu*m.v[i] + g
-		params[i] -= l * m.v[i]
-	}
+	tensor.MomentumUpdate(params, grads, m.v, float32(m.Mu), float32(m.WeightDecay), float32(lr))
 }
 
 // Adam is the Adam optimizer [23] with bias correction.
@@ -160,24 +156,27 @@ func (a *Adam) Restore(s State) {
 	a.v = s.vecAt(1)
 }
 
+// Step is tensor.AdamUpdate over the two moment vectors, which panics
+// unless params, grads and the (possibly restored) moments are equally
+// long.
 func (a *Adam) Step(params, grads []float32, lr float64) {
-	if a.m == nil {
+	if a.m == nil && a.v == nil {
 		a.m = make([]float32, len(params))
 		a.v = make([]float32, len(params))
 	}
 	a.t++
-	b1 := a.Beta1
-	b2 := a.Beta2
-	bc1 := 1 - math.Pow(b1, float64(a.t))
-	bc2 := 1 - math.Pow(b2, float64(a.t))
-	wd := float32(a.WeightDecay * lr)
-	for i, g := range grads {
-		a.m[i] = float32(b1)*a.m[i] + float32(1-b1)*g
-		a.v[i] = float32(b2)*a.v[i] + float32(1-b2)*g*g
-		mhat := float64(a.m[i]) / bc1
-		vhat := float64(a.v[i]) / bc2
-		params[i] -= float32(lr*mhat/(math.Sqrt(vhat)+a.Eps)) + wd*params[i]
-	}
+	b1, b2 := a.Beta1, a.Beta2
+	tensor.AdamUpdate(params, grads, a.m, a.v, tensor.AdamCoef{
+		LR:  lr,
+		BC1: 1 - math.Pow(b1, float64(a.t)),
+		BC2: 1 - math.Pow(b2, float64(a.t)),
+		Eps: a.Eps,
+		B1:  float32(b1),
+		C1:  float32(1 - b1),
+		B2:  float32(b2),
+		C2:  float32(1 - b2),
+		WD:  float32(a.WeightDecay * lr),
+	})
 }
 
 // LARS implements layer-wise adaptive rate scaling [37]: each layer's

@@ -262,3 +262,133 @@ func TestOptimizersDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// The oracles below are the Adam and Momentum loops as they stood before
+// the lane kernels, kept verbatim: Step must reproduce them bit for bit
+// — on amd64 through the AVX kernels, under -tags noasm and on 386
+// through the pure-Go twins.
+
+func adamStepRef(params, grads, m, v []float32, t int, lr, b1, b2, eps, weightDecay float64) {
+	bc1 := 1 - math.Pow(b1, float64(t))
+	bc2 := 1 - math.Pow(b2, float64(t))
+	wd := float32(weightDecay * lr)
+	for i, g := range grads {
+		m[i] = float32(b1)*m[i] + float32(1-b1)*g
+		v[i] = float32(b2)*v[i] + float32(1-b2)*g*g
+		mhat := float64(m[i]) / bc1
+		vhat := float64(v[i]) / bc2
+		params[i] -= float32(lr*mhat/(math.Sqrt(vhat)+eps)) + wd*params[i]
+	}
+}
+
+func momentumStepRef(params, grads, v []float32, lr, mu, weightDecay float64) {
+	wd := float32(weightDecay)
+	l := float32(lr)
+	for i, g := range grads {
+		g += wd * params[i]
+		v[i] = float32(mu)*v[i] + g
+		params[i] -= l * v[i]
+	}
+}
+
+func firstBitDiff(a, b []float32) int {
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) && !(a[i] != a[i] && b[i] != b[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+func TestAdamAndMomentumMatchScalarOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for _, n := range []int{1, 3, 4, 7, 8, 9, 31, 64, 1003} {
+		for _, scale := range []float64{1, 1e-21, 1e18} { // 1e-21: g*g is denormal; 1e18: it overflows
+			for _, wd := range []float64{0, 0.01} {
+				start := make([]float32, n)
+				for i := range start {
+					start[i] = float32(rng.NormFloat64())
+				}
+
+				adam := NewAdam()
+				adam.WeightDecay = wd
+				p, wantP := tensor.Clone(start), tensor.Clone(start)
+				wantM, wantV := make([]float32, n), make([]float32, n)
+				mom := NewMomentum(0.9)
+				mom.WeightDecay = wd
+				q, wantQ, wantMV := tensor.Clone(start), tensor.Clone(start), make([]float32, n)
+				for step := 1; step <= 4; step++ {
+					g := make([]float32, n)
+					for i := range g {
+						g[i] = float32(rng.NormFloat64() * scale)
+					}
+					g[rng.Intn(n)] = 0
+					lr := 1e-3 * float64(step)
+
+					adam.Step(p, g, lr)
+					adamStepRef(wantP, g, wantM, wantV, step, lr, adam.Beta1, adam.Beta2, adam.Eps, wd)
+					if i := firstBitDiff(p, wantP); i >= 0 {
+						t.Fatalf("Adam n=%d scale=%g wd=%g step %d: params[%d] = %v, scalar loop %v", n, scale, wd, step, i, p[i], wantP[i])
+					}
+					st := adam.Snapshot()
+					if firstBitDiff(st.Vecs[0], wantM) >= 0 || firstBitDiff(st.Vecs[1], wantV) >= 0 {
+						t.Fatalf("Adam n=%d scale=%g wd=%g step %d: moments differ from the scalar loop", n, scale, wd, step)
+					}
+
+					mom.Step(q, g, lr)
+					momentumStepRef(wantQ, g, wantMV, lr, 0.9, wd)
+					if i := firstBitDiff(q, wantQ); i >= 0 {
+						t.Fatalf("Momentum n=%d scale=%g wd=%g step %d: params[%d] = %v, scalar loop %v", n, scale, wd, step, i, q[i], wantQ[i])
+					}
+					if firstBitDiff(mom.Snapshot().Vecs[0], wantMV) >= 0 {
+						t.Fatalf("Momentum n=%d scale=%g wd=%g step %d: velocity differs from the scalar loop", n, scale, wd, step)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestStepAfterBadRestorePanics: state vectors that do not match the
+// model — what a doctored checkpoint restores — must make the next Step
+// panic in Go, whatever the direction of the mismatch; so must a
+// gradient of the wrong length. Nil vectors restore a fresh optimizer.
+func TestStepAfterBadRestorePanics(t *testing.T) {
+	const n = 64
+	vec := func(k int) []float32 { return make([]float32, k) }
+	panics := func(f func()) (p bool) {
+		defer func() { p = recover() != nil }()
+		f()
+		return false
+	}
+	for name, tc := range map[string]struct {
+		opt   Optimizer
+		state State
+		bad   bool
+	}{
+		"adam short m":     {NewAdam(), State{Step: 3, Vecs: [][]float32{vec(n - 8), vec(n)}}, true},
+		"adam long v":      {NewAdam(), State{Step: 3, Vecs: [][]float32{vec(n), vec(n + 8)}}, true},
+		"adam m without v": {NewAdam(), State{Step: 3, Vecs: [][]float32{vec(n), nil}}, true},
+		"adam v without m": {NewAdam(), State{Step: 3, Vecs: [][]float32{nil, vec(n)}}, true},
+		"adam nil":         {NewAdam(), State{Vecs: [][]float32{nil, nil}}, false},
+		"adam no vectors":  {NewAdam(), State{}, false},
+		"adam exact":       {NewAdam(), State{Step: 3, Vecs: [][]float32{vec(n), vec(n)}}, false},
+		"momentum short v": {NewMomentum(0.9), State{Vecs: [][]float32{vec(n - 1)}}, true},
+		"momentum long v":  {NewMomentum(0.9), State{Vecs: [][]float32{vec(n + 1)}}, true},
+		"momentum nil":     {NewMomentum(0.9), State{Vecs: [][]float32{nil}}, false},
+		"momentum exact":   {NewMomentum(0.9), State{Vecs: [][]float32{vec(n)}}, false},
+	} {
+		tc.opt.Restore(tc.state)
+		if got := panics(func() { tc.opt.Step(vec(n), vec(n), 1e-3) }); got != tc.bad {
+			t.Errorf("%s: Step panicked = %v, want %v", name, got, tc.bad)
+		}
+	}
+	for _, opt := range []Optimizer{NewAdam(), NewMomentum(0.9)} {
+		if !panics(func() { opt.Step(vec(n), vec(n-8), 1e-3) }) {
+			t.Errorf("%s: Step accepted %d gradients for %d params", opt.Name(), n-8, n)
+		}
+		if !panics(func() { opt.Clone().Step(vec(n), vec(n+8), 1e-3) }) {
+			t.Errorf("%s: Step accepted %d gradients for %d params", opt.Name(), n+8, n)
+		}
+	}
+}

@@ -1,0 +1,158 @@
+//go:build amd64 && !noasm
+
+package tensor
+
+// Dispatch for the lane kernels (lanes.go): on a CPU with AVX — the
+// hasAVXFMA flag dotNorms already uses — each function hands the
+// assembly the largest prefix that is a whole number of vectors and runs
+// the pure-Go twin on the tail; elsewhere the twin runs alone. The
+// exported callers have checked that all slices of a call are equally
+// long; the index expression before each assembly call repeats the one
+// bound the pointers depend on, so an inconsistent call panics here
+// instead of writing out of bounds.
+
+// n is a positive multiple of 8.
+//
+//go:noescape
+func axpyAVX(x, y *float32, n int, alpha float32)
+
+// n is a positive multiple of 8.
+//
+//go:noescape
+func subAVX(dst, a, b *float32, n int)
+
+// n is a positive multiple of 8.
+//
+//go:noescape
+func scaledCombineAVX(dst, a, b *float32, n int, ca, cb float32)
+
+// One tile of denseLanes samples through an in×out layer: xt holds the
+// tile transposed (xt[i*8+l] is feature i of sample l), yt receives the
+// outputs the same way, w is the row-major weight matrix and b the bias
+// (nil for none). in and out are positive.
+//
+//go:noescape
+func denseTileAVX(yt, xt, w, b *float32, in, out int)
+
+// n is a positive multiple of 4.
+//
+//go:noescape
+func adamAVX(pp, gg, mm, vv *float32, n int, c *AdamCoef)
+
+// n is a positive multiple of 8.
+//
+//go:noescape
+func momentumAVX(pp, gg, vv *float32, n int, mu, wd, lr float32)
+
+//adasum:noalloc
+func axpy(alpha float32, x, y []float32) {
+	if n := len(x) &^ 7; hasAVXFMA && n > 0 {
+		_ = y[n-1]
+		axpyAVX(&x[0], &y[0], n, alpha)
+		if n == len(x) {
+			return // the common case in Dense.Backward, which calls per weight row
+		}
+		x, y = x[n:], y[n:]
+	}
+	axpyGeneric(alpha, x, y)
+}
+
+//adasum:noalloc
+func sub(dst, a, b []float32) {
+	if n := len(dst) &^ 7; hasAVXFMA && n > 0 {
+		_, _ = a[n-1], b[n-1]
+		subAVX(&dst[0], &a[0], &b[0], n)
+		dst, a, b = dst[n:], a[n:], b[n:]
+	}
+	subGeneric(dst, a, b)
+}
+
+//adasum:noalloc
+func scaledCombine(dst []float32, ca float32, a []float32, cb float32, b []float32) {
+	if n := len(dst) &^ 7; hasAVXFMA && n > 0 {
+		_, _ = a[n-1], b[n-1]
+		scaledCombineAVX(&dst[0], &a[0], &b[0], n, ca, cb)
+		dst, a, b = dst[n:], a[n:], b[n:]
+	}
+	scaledCombineGeneric(dst, ca, a, cb, b)
+}
+
+const (
+	// denseLanes is the tile width of the vector forward pass: eight
+	// samples, one per float32 lane of a ymm register.
+	denseLanes = 8
+	// denseMinBatch is the smallest batch the tiled path takes; below it
+	// the transposes cost more than the lanes save. Chosen from
+	// BenchmarkDenseForward (see DESIGN.md, "Lane kernels").
+	denseMinBatch = 2
+)
+
+// DenseScratchLen returns the scratch length DenseForward wants for an
+// in×out layer: one transposed input tile and one transposed output
+// tile.
+func DenseScratchLen(in, out int) int { return (in + out) * denseLanes }
+
+//adasum:noalloc
+func denseForward(y, x, w, b []float32, batch, in, out int, scratch []float32) {
+	if !hasAVXFMA || batch < denseMinBatch || len(scratch) < DenseScratchLen(in, out) {
+		denseForwardGeneric(y, x, w, b, batch, in, out)
+		return
+	}
+	denseForwardTiled(y, x, w, b, batch, in, out, scratch)
+}
+
+// denseForwardTiled puts samples on the vector lanes: a tile of up to
+// eight samples is transposed into scratch, denseTileAVX broadcasts each
+// weight against the tile row of its feature — so every lane performs
+// denseForwardGeneric's operations for its own sample, in order — and
+// the tile of outputs is transposed back. Lanes past the end of a short
+// tile compute on whatever scratch held; their results are dropped.
+// The caller has checked the slice lengths against batch, in and out
+// and that scratch holds DenseScratchLen(in, out) floats.
+//
+//adasum:noalloc
+func denseForwardTiled(y, x, w, b []float32, batch, in, out int, scratch []float32) {
+	xt := scratch[:in*denseLanes]
+	yt := scratch[in*denseLanes : (in+out)*denseLanes]
+	_ = w[in*out-1]
+	var bias *float32
+	if len(b) != 0 {
+		_ = b[out-1]
+		bias = &b[0]
+	}
+	for s0 := 0; s0 < batch; s0 += denseLanes {
+		lanes := min(denseLanes, batch-s0)
+		for l := 0; l < lanes; l++ {
+			for i, v := range x[(s0+l)*in : (s0+l+1)*in] {
+				xt[i*denseLanes+l] = v
+			}
+		}
+		denseTileAVX(&yt[0], &xt[0], &w[0], bias, in, out)
+		for l := 0; l < lanes; l++ {
+			yl := y[(s0+l)*out : (s0+l+1)*out]
+			for o := range yl {
+				yl[o] = yt[o*denseLanes+l]
+			}
+		}
+	}
+}
+
+//adasum:noalloc
+func adamUpdate(p, g, m, v []float32, c *AdamCoef) {
+	if n := len(p) &^ 3; hasAVXFMA && n > 0 {
+		_, _, _ = g[n-1], m[n-1], v[n-1]
+		adamAVX(&p[0], &g[0], &m[0], &v[0], n, c)
+		p, g, m, v = p[n:], g[n:], m[n:], v[n:]
+	}
+	adamGeneric(p, g, m, v, c)
+}
+
+//adasum:noalloc
+func momentumUpdate(p, g, v []float32, mu, wd, lr float32) {
+	if n := len(p) &^ 7; hasAVXFMA && n > 0 {
+		_, _ = g[n-1], v[n-1]
+		momentumAVX(&p[0], &g[0], &v[0], n, mu, wd, lr)
+		p, g, v = p[n:], g[n:], v[n:]
+	}
+	momentumGeneric(p, g, v, mu, wd, lr)
+}

@@ -1,0 +1,282 @@
+// AVX lane kernels for the per-rank arithmetic. See lanes.go for the
+// contract (each lane executes the pure-Go twin's operations in the
+// twin's order, every result rounded on its own — hence no FMA anywhere
+// in this file) and lanes_amd64.go for the dispatchers that guarantee
+// the pointer and count arguments.
+
+//go:build amd64 && !noasm
+
+#include "textflag.h"
+
+// func axpyAVX(x, y *float32, n int, alpha float32)
+//
+// y[i] = y[i] + alpha*x[i], eight lanes per vector, four vectors per
+// iteration while 32 elements remain, then one at a time.
+TEXT ·axpyAVX(SB), NOSPLIT, $0-28
+	MOVQ         x+0(FP), SI
+	MOVQ         y+8(FP), DI
+	MOVQ         n+16(FP), CX
+	VBROADCASTSS alpha+24(FP), Y0
+	SUBQ         $32, CX
+	JLT          axpyrest
+
+axpyloop4:
+	VMULPS  (SI), Y0, Y1   // alpha*x
+	VMULPS  32(SI), Y0, Y2
+	VMULPS  64(SI), Y0, Y3
+	VMULPS  96(SI), Y0, Y4
+	VMOVUPS (DI), Y5
+	VMOVUPS 32(DI), Y6
+	VMOVUPS 64(DI), Y7
+	VMOVUPS 96(DI), Y8
+	VADDPS  Y1, Y5, Y5     // y + alpha*x
+	VADDPS  Y2, Y6, Y6
+	VADDPS  Y3, Y7, Y7
+	VADDPS  Y4, Y8, Y8
+	VMOVUPS Y5, (DI)
+	VMOVUPS Y6, 32(DI)
+	VMOVUPS Y7, 64(DI)
+	VMOVUPS Y8, 96(DI)
+	ADDQ    $128, SI
+	ADDQ    $128, DI
+	SUBQ    $32, CX
+	JGE     axpyloop4
+
+axpyrest:
+	ADDQ $32, CX
+	JZ   axpydone
+
+axpyloop:
+	VMULPS  (SI), Y0, Y1
+	VMOVUPS (DI), Y5
+	VADDPS  Y1, Y5, Y5
+	VMOVUPS Y5, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	SUBQ    $8, CX
+	JNZ     axpyloop
+
+axpydone:
+	VZEROUPPER
+	RET
+
+// func subAVX(dst, a, b *float32, n int)
+//
+// dst[i] = a[i] - b[i]. Both loads of a vector precede its store, so dst
+// may be a or b.
+TEXT ·subAVX(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	MOVQ n+24(FP), CX
+	SHRQ $3, CX
+
+subloop:
+	VMOVUPS (SI), Y0
+	VSUBPS  (DX), Y0, Y0 // a - b
+	VMOVUPS Y0, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DX
+	ADDQ    $32, DI
+	DECQ    CX
+	JNZ     subloop
+	VZEROUPPER
+	RET
+
+// func scaledCombineAVX(dst, a, b *float32, n int, ca, cb float32)
+//
+// dst[i] = ca*a[i] + cb*b[i]. Both loads of a vector precede its store,
+// so dst may be a or b.
+TEXT ·scaledCombineAVX(SB), NOSPLIT, $0-40
+	MOVQ         dst+0(FP), DI
+	MOVQ         a+8(FP), SI
+	MOVQ         b+16(FP), DX
+	MOVQ         n+24(FP), CX
+	VBROADCASTSS ca+32(FP), Y0
+	VBROADCASTSS cb+36(FP), Y1
+	SHRQ         $3, CX
+
+combineloop:
+	VMULPS  (SI), Y0, Y2 // ca*a
+	VMULPS  (DX), Y1, Y3 // cb*b
+	VADDPS  Y3, Y2, Y2
+	VMOVUPS Y2, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DX
+	ADDQ    $32, DI
+	DECQ    CX
+	JNZ     combineloop
+	VZEROUPPER
+	RET
+
+// func denseTileAVX(yt, xt, w, b *float32, in, out int)
+//
+// For each output o, with lane l holding sample l of the tile:
+//
+//	acc = 0
+//	per group of four features: acc += ((w0*x0 + w1*x1) + w2*x2) + w3*x3
+//	per tail feature:           acc += w*x
+//	acc += b[o]                 (when b != nil)
+//	yt[o*8 : o*8+8] = acc
+//
+// which is denseForwardGeneric's order for every lane. BX walks the
+// weight matrix once, front to back; DX walks the tile once per output.
+TEXT ·denseTileAVX(SB), NOSPLIT, $0-48
+	MOVQ yt+0(FP), DI
+	MOVQ xt+8(FP), SI
+	MOVQ w+16(FP), BX
+	MOVQ b+24(FP), R8
+	MOVQ in+32(FP), R9
+	MOVQ out+40(FP), R10
+	MOVQ R9, R11
+	SHRQ $2, R11         // groups of four features
+	ANDQ $3, R9          // tail features
+
+denserow:
+	VXORPS Y0, Y0, Y0
+	MOVQ   SI, DX
+	MOVQ   R11, CX
+	TESTQ  CX, CX
+	JZ     densetail
+
+densegroup:
+	VBROADCASTSS (BX), Y1
+	VBROADCASTSS 4(BX), Y2
+	VBROADCASTSS 8(BX), Y3
+	VBROADCASTSS 12(BX), Y4
+	VMULPS       (DX), Y1, Y1
+	VMULPS       32(DX), Y2, Y2
+	VMULPS       64(DX), Y3, Y3
+	VMULPS       96(DX), Y4, Y4
+	VADDPS       Y2, Y1, Y1
+	VADDPS       Y3, Y1, Y1
+	VADDPS       Y4, Y1, Y1
+	VADDPS       Y1, Y0, Y0
+	ADDQ         $16, BX
+	ADDQ         $128, DX
+	DECQ         CX
+	JNZ          densegroup
+
+densetail:
+	MOVQ  R9, CX
+	TESTQ CX, CX
+	JZ    densebias
+
+densetailloop:
+	VBROADCASTSS (BX), Y1
+	VMULPS       (DX), Y1, Y1
+	VADDPS       Y1, Y0, Y0
+	ADDQ         $4, BX
+	ADDQ         $32, DX
+	DECQ         CX
+	JNZ          densetailloop
+
+densebias:
+	TESTQ        R8, R8
+	JZ           densestore
+	VBROADCASTSS (R8), Y1
+	VADDPS       Y1, Y0, Y0
+	ADDQ         $4, R8
+
+densestore:
+	VMOVUPS Y0, (DI)
+	ADDQ    $32, DI
+	DECQ    R10
+	JNZ     denserow
+	VZEROUPPER
+	RET
+
+// func adamAVX(pp, gg, mm, vv *float32, n int, c *AdamCoef)
+//
+// Four elements per iteration: the moment updates on four float32 lanes
+// (xmm), the bias-corrected quotient on four float64 lanes (ymm), one
+// VCVTPD2PS back. AdamCoef field offsets: LR 0, BC1 8, BC2 16, Eps 24,
+// B1 32, C1 36, B2 40, C2 44, WD 48.
+//
+//	m = B1*m + C1*g
+//	v = B2*v + (C2*g)*g
+//	p = p - (float32((LR*(m/BC1)) / (sqrt(v/BC2) + Eps)) + WD*p)
+TEXT ·adamAVX(SB), NOSPLIT, $0-48
+	MOVQ         pp+0(FP), DI
+	MOVQ         gg+8(FP), SI
+	MOVQ         mm+16(FP), DX
+	MOVQ         vv+24(FP), BX
+	MOVQ         n+32(FP), CX
+	MOVQ         c+40(FP), AX
+	VBROADCASTSD 0(AX), Y8    // LR
+	VBROADCASTSD 8(AX), Y9    // BC1
+	VBROADCASTSD 16(AX), Y10  // BC2
+	VBROADCASTSD 24(AX), Y11  // Eps
+	VBROADCASTSS 32(AX), X12  // B1
+	VBROADCASTSS 36(AX), X13  // C1
+	VBROADCASTSS 40(AX), X14  // B2
+	VBROADCASTSS 44(AX), X15  // C2
+	VBROADCASTSS 48(AX), X7   // WD
+	SHRQ         $2, CX
+
+adamloop:
+	VMOVUPS    (SI), X0     // g
+	VMULPS     (DX), X12, X1 // B1*m
+	VMULPS     X0, X13, X2  // C1*g
+	VADDPS     X2, X1, X1   // m
+	VMOVUPS    X1, (DX)
+	VMULPS     (BX), X14, X2 // B2*v
+	VMULPS     X0, X15, X3  // C2*g
+	VMULPS     X0, X3, X3   // (C2*g)*g
+	VADDPS     X3, X2, X2   // v
+	VMOVUPS    X2, (BX)
+	VCVTPS2PD  X1, Y1
+	VCVTPS2PD  X2, Y2
+	VDIVPD     Y9, Y1, Y1   // mhat = m/BC1
+	VDIVPD     Y10, Y2, Y2  // vhat = v/BC2
+	VSQRTPD    Y2, Y2
+	VADDPD     Y11, Y2, Y2  // sqrt(vhat) + Eps
+	VMULPD     Y1, Y8, Y1   // LR*mhat
+	VDIVPD     Y2, Y1, Y1
+	VCVTPD2PSY Y1, X1       // the update, rounded to float32
+	VMOVUPS    (DI), X4     // p
+	VMULPS     X4, X7, X5   // WD*p
+	VADDPS     X5, X1, X1   // update + WD*p
+	VSUBPS     X1, X4, X4   // p - (update + WD*p)
+	VMOVUPS    X4, (DI)
+	ADDQ       $16, SI
+	ADDQ       $16, DX
+	ADDQ       $16, BX
+	ADDQ       $16, DI
+	DECQ       CX
+	JNZ        adamloop
+	VZEROUPPER
+	RET
+
+// func momentumAVX(pp, gg, vv *float32, n int, mu, wd, lr float32)
+//
+//	v = mu*v + (g + wd*p)
+//	p = p - lr*v
+TEXT ·momentumAVX(SB), NOSPLIT, $0-44
+	MOVQ         pp+0(FP), DI
+	MOVQ         gg+8(FP), SI
+	MOVQ         vv+16(FP), DX
+	MOVQ         n+24(FP), CX
+	VBROADCASTSS mu+32(FP), Y5
+	VBROADCASTSS wd+36(FP), Y6
+	VBROADCASTSS lr+40(FP), Y7
+	SHRQ         $3, CX
+
+momentumloop:
+	VMOVUPS (DI), Y0     // p
+	VMULPS  Y0, Y6, Y1   // wd*p
+	VMOVUPS (SI), Y2
+	VADDPS  Y1, Y2, Y2   // g + wd*p
+	VMULPS  (DX), Y5, Y3 // mu*v
+	VADDPS  Y2, Y3, Y3   // v
+	VMOVUPS Y3, (DX)
+	VMULPS  Y3, Y7, Y4   // lr*v
+	VSUBPS  Y4, Y0, Y0   // p - lr*v
+	VMOVUPS Y0, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DX
+	ADDQ    $32, DI
+	DECQ    CX
+	JNZ     momentumloop
+	VZEROUPPER
+	RET

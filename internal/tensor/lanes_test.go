@@ -1,0 +1,354 @@
+package tensor
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// The differential tests compare every lane kernel, as dispatched by its
+// exported wrapper, with its pure-Go twin bit for bit. On amd64 that is
+// asm against Go; under -tags noasm and on GOARCH=386 the wrapper is the
+// twin and the tests still run, so all three builds execute the same
+// assertions on the same inputs.
+
+// sameF32 is bit equality, except that any NaN equals any NaN: which
+// operand's payload survives a NaN+NaN depends on instruction operand
+// order, which neither the compiler nor the contract fixes.
+func sameF32(a, b float32) bool {
+	return math.Float32bits(a) == math.Float32bits(b) || (a != a && b != b)
+}
+
+func diffAt(got, want []float32) int {
+	for i := range want {
+		if !sameF32(got[i], want[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+func expectSame(t *testing.T, what string, got, want []float32) {
+	t.Helper()
+	if i := diffAt(got, want); i >= 0 {
+		t.Fatalf("%s: element %d of %d: kernel %v (%#08x), twin %v (%#08x)", what, i, len(want),
+			got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+	}
+}
+
+var laneKinds = []string{"gaussian", "relu-sparse", "tiny", "huge", "specials"}
+
+// laneVec draws n values of the given kind at slice offset off of a
+// larger array, so that the data start at every 4-byte misalignment of a
+// 32-byte vector as off runs over 0..7.
+func laneVec(rng *rand.Rand, n, off int, kind string) []float32 {
+	v := make([]float32, off+n+8)[off : off+n : off+n]
+	specials := []float32{
+		0, float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()),
+		math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32, math.MaxFloat32, -math.MaxFloat32, 1e-21, -1e-21,
+	}
+	for i := range v {
+		g := float32(rng.NormFloat64())
+		switch kind {
+		case "relu-sparse":
+			if g < 0 {
+				g = 0
+			}
+		case "tiny": // squares and products land in the denormals
+			g *= 1e-21
+		case "huge": // squares overflow
+			g *= 1e18
+		case "specials":
+			if rng.Intn(3) == 0 {
+				g = specials[rng.Intn(len(specials))]
+			}
+		}
+		v[i] = g
+	}
+	return v
+}
+
+func cloneAt(v []float32, off int) []float32 {
+	c := make([]float32, off+len(v)+8)[off : off+len(v) : off+len(v)]
+	copy(c, v)
+	return c
+}
+
+// aliasOperands returns fresh copies of a and b at slice offset off and
+// a destination for them: a separate slice, a itself or b itself.
+func aliasOperands(a, b []float32, off int, alias string) (dst, ca, cb []float32) {
+	ca, cb = cloneAt(a, off), cloneAt(b, off)
+	switch alias {
+	case "dst=a":
+		return ca, ca, cb
+	case "dst=b":
+		return cb, ca, cb
+	}
+	return make([]float32, len(a)), ca, cb
+}
+
+// checkElementwise runs Axpy, Sub and ScaledCombine — the latter two in
+// each documented aliasing form — against their twins.
+func checkElementwise(t *testing.T, x, y []float32, alpha, beta float32, off int) {
+	t.Helper()
+	got, want := cloneAt(y, off), cloneAt(y, off)
+	Axpy(alpha, x, got)
+	axpyGeneric(alpha, x, want)
+	expectSame(t, "Axpy", got, want)
+
+	for _, alias := range []string{"none", "dst=a", "dst=b"} {
+		gd, ga, gb := aliasOperands(x, y, off, alias)
+		wd, wa, wb := aliasOperands(x, y, off, alias)
+		Sub(gd, ga, gb)
+		subGeneric(wd, wa, wb)
+		expectSame(t, "Sub "+alias, gd, wd)
+
+		gd, ga, gb = aliasOperands(x, y, off, alias)
+		wd, wa, wb = aliasOperands(x, y, off, alias)
+		ScaledCombine(gd, alpha, ga, beta, gb)
+		scaledCombineGeneric(wd, alpha, wa, beta, wb)
+		expectSame(t, "ScaledCombine "+alias, gd, wd)
+	}
+}
+
+// adamCoefAt is what optim.Adam passes at step t.
+func adamCoefAt(t int, lr, wd float64) AdamCoef {
+	const b1, b2 = 0.9, 0.999
+	return AdamCoef{
+		LR: lr, BC1: 1 - math.Pow(b1, float64(t)), BC2: 1 - math.Pow(b2, float64(t)), Eps: 1e-8,
+		B1: float32(b1), C1: float32(1 - b1), B2: float32(b2), C2: float32(1 - b2), WD: float32(wd * lr),
+	}
+}
+
+// checkUpdates runs AdamUpdate and MomentumUpdate for steps consecutive
+// steps from the given state against their twins, with and without
+// weight decay, comparing parameters and state after every step. grad(s)
+// supplies the gradient of step s.
+func checkUpdates(t *testing.T, p, m, v []float32, grad func(step int) []float32, steps, off int) {
+	t.Helper()
+	for _, wd := range []float64{0, 0.01} {
+		gp, gm, gv := cloneAt(p, off), cloneAt(m, off), cloneAt(v, off)
+		wp, wm, wv := cloneAt(p, off), cloneAt(m, off), cloneAt(v, off)
+		for s := 1; s <= steps; s++ {
+			g := grad(s)
+			c := adamCoefAt(s, 1e-3, wd)
+			AdamUpdate(gp, g, gm, gv, c)
+			adamGeneric(wp, g, wm, wv, &c)
+			what := fmt.Sprintf("AdamUpdate wd=%g step %d", wd, s)
+			expectSame(t, what+" m", gm, wm)
+			expectSame(t, what+" v", gv, wv)
+			expectSame(t, what+" params", gp, wp)
+		}
+
+		gp, gv = cloneAt(p, off), cloneAt(m, off)
+		wp, wv = cloneAt(p, off), cloneAt(m, off)
+		for s := 1; s <= steps; s++ {
+			g := grad(s)
+			MomentumUpdate(gp, g, gv, 0.9, float32(wd), 2e-3)
+			momentumGeneric(wp, g, wv, 0.9, float32(wd), 2e-3)
+			what := fmt.Sprintf("MomentumUpdate wd=%g step %d", wd, s)
+			expectSame(t, what+" v", gv, wv)
+			expectSame(t, what+" params", gp, wp)
+		}
+	}
+}
+
+// checkDense runs DenseForward on the vector path (a full scratch)
+// against its twin, with and without the bias.
+func checkDense(t *testing.T, x, w, b []float32, batch, in, out int) {
+	t.Helper()
+	scratch := make([]float32, DenseScratchLen(in, out))
+	for _, bias := range [][]float32{nil, b} {
+		got, want := make([]float32, batch*out), make([]float32, batch*out)
+		DenseForward(got, x, w, bias, batch, in, out, scratch)
+		denseForwardGeneric(want, x, w, bias, batch, in, out)
+		expectSame(t, fmt.Sprintf("DenseForward batch=%d in=%d out=%d bias=%v", batch, in, out, bias != nil), got, want)
+	}
+}
+
+func laneLengths() []int {
+	var ns []int
+	for n := 0; n <= 67; n++ {
+		ns = append(ns, n)
+	}
+	return append(ns, 1023, 4097, 100003)
+}
+
+func TestLaneKernelsMatchTwins(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	for _, kind := range laneKinds {
+		for _, n := range laneLengths() {
+			offs := 8
+			if n > 5000 {
+				offs = 2
+			}
+			for off := 0; off < offs; off++ {
+				x, y := laneVec(rng, n, off, kind), laneVec(rng, n, off, kind)
+				alpha, beta := float32(rng.NormFloat64()), float32(rng.NormFloat64())
+				checkElementwise(t, x, y, alpha, beta, off)
+
+				// From the zero state at t = 1, as a fresh optimizer
+				// steps, with a new gradient every step.
+				zero := make([]float32, n)
+				grads := [][]float32{laneVec(rng, n, off, kind), laneVec(rng, n, off, kind), laneVec(rng, n, off, kind), laneVec(rng, n, off, "gaussian")}
+				checkUpdates(t, x, zero, zero, func(s int) []float32 { return grads[s-1] }, len(grads), off)
+			}
+		}
+	}
+}
+
+func TestDenseForwardMatchesTwin(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for _, kind := range laneKinds {
+		for _, batch := range []int{1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 33, 256} {
+			for _, in := range []int{1, 3, 4, 5, 48, 128, 256} {
+				for _, out := range []int{1, 3, 16} {
+					off := rng.Intn(8)
+					x := laneVec(rng, batch*in, off, kind)
+					w := laneVec(rng, in*out, rng.Intn(8), "gaussian")
+					b := laneVec(rng, out, rng.Intn(8), "gaussian")
+					checkDense(t, x, w, b, batch, in, out)
+				}
+			}
+		}
+	}
+}
+
+// A scratch too short for the tile (nil included) must select the scalar
+// path, not fault.
+func TestDenseForwardShortScratch(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	const batch, in, out = 16, 12, 5
+	x, w, b := laneVec(rng, batch*in, 0, "gaussian"), laneVec(rng, in*out, 0, "gaussian"), laneVec(rng, out, 0, "gaussian")
+	want := make([]float32, batch*out)
+	denseForwardGeneric(want, x, w, b, batch, in, out)
+	for _, n := range []int{0, 1, DenseScratchLen(in, out) - 1} {
+		if n < 0 {
+			continue
+		}
+		got := make([]float32, batch*out)
+		DenseForward(got, x, w, b, batch, in, out, make([]float32, n))
+		expectSame(t, fmt.Sprintf("scratch of %d", n), got, want)
+	}
+}
+
+// Every wrapper must panic on inconsistent lengths — in Go, before any
+// pointer reaches the assembly. A kernel reached with a short slice
+// would fault or corrupt the heap instead of panicking.
+func TestLaneKernelsLengthMismatchPanics(t *testing.T) {
+	f := func(n int) []float32 { return make([]float32, n) }
+	var c AdamCoef
+	for name, call := range map[string]func(){
+		"Axpy short x":             func() { Axpy(1, f(63), f(64)) },
+		"Axpy short y":             func() { Axpy(1, f(64), f(63)) },
+		"Sub short dst":            func() { Sub(f(8), f(64), f(64)) },
+		"Sub short a":              func() { Sub(f(64), f(8), f(64)) },
+		"Sub short b":              func() { Sub(f(64), f(64), f(8)) },
+		"ScaledCombine short dst":  func() { ScaledCombine(f(8), 1, f(64), 1, f(64)) },
+		"ScaledCombine short a":    func() { ScaledCombine(f(64), 1, f(8), 1, f(64)) },
+		"ScaledCombine short b":    func() { ScaledCombine(f(64), 1, f(64), 1, f(8)) },
+		"AdamUpdate short grads":   func() { AdamUpdate(f(64), f(8), f(64), f(64), c) },
+		"AdamUpdate short m":       func() { AdamUpdate(f(64), f(64), f(8), f(64), c) },
+		"AdamUpdate nil v":         func() { AdamUpdate(f(64), f(64), f(64), nil, c) },
+		"AdamUpdate long v":        func() { AdamUpdate(f(64), f(64), f(64), f(65), c) },
+		"AdamUpdate short params":  func() { AdamUpdate(f(8), f(64), f(64), f(64), c) },
+		"MomentumUpdate short g":   func() { MomentumUpdate(f(64), f(8), f(64), 0.9, 0, 1) },
+		"MomentumUpdate short v":   func() { MomentumUpdate(f(64), f(64), f(8), 0.9, 0, 1) },
+		"MomentumUpdate short p":   func() { MomentumUpdate(f(8), f(64), f(64), 0.9, 0, 1) },
+		"DenseForward short x":     func() { DenseForward(f(16*4), f(16*8-1), f(8*4), f(4), 16, 8, 4, f(DenseScratchLen(8, 4))) },
+		"DenseForward short y":     func() { DenseForward(f(16*4-1), f(16*8), f(8*4), f(4), 16, 8, 4, f(DenseScratchLen(8, 4))) },
+		"DenseForward short w":     func() { DenseForward(f(16*4), f(16*8), f(8*4-1), f(4), 16, 8, 4, f(DenseScratchLen(8, 4))) },
+		"DenseForward short b":     func() { DenseForward(f(16*4), f(16*8), f(8*4), f(3), 16, 8, 4, f(DenseScratchLen(8, 4))) },
+		"DenseForward zero in":     func() { DenseForward(f(16*4), nil, nil, f(4), 16, 0, 4, f(64)) },
+		"DenseForward negative in": func() { DenseForward(f(16), f(16), f(16), nil, -4, -4, -4, f(64)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			call()
+		}()
+	}
+}
+
+func TestLaneKernelsZeroAllocs(t *testing.T) {
+	const n, batch, in, out = 1003, 16, 48, 16
+	rng := rand.New(rand.NewSource(23))
+	x, y, z, u := laneVec(rng, n, 0, "gaussian"), laneVec(rng, n, 0, "gaussian"), laneVec(rng, n, 0, "gaussian"), laneVec(rng, n, 0, "gaussian")
+	dx, dw, db := laneVec(rng, batch*in, 0, "gaussian"), laneVec(rng, in*out, 0, "gaussian"), laneVec(rng, out, 0, "gaussian")
+	dy, scratch := make([]float32, batch*out), make([]float32, DenseScratchLen(in, out))
+	c := adamCoefAt(1, 1e-3, 0.01)
+	for name, call := range map[string]func(){
+		"Axpy":           func() { Axpy(0.5, x, y) },
+		"Sub":            func() { Sub(z, x, y) },
+		"ScaledCombine":  func() { ScaledCombine(z, 0.5, x, 0.25, y) },
+		"AdamUpdate":     func() { AdamUpdate(x, y, z, u, c) },
+		"MomentumUpdate": func() { MomentumUpdate(x, y, z, 0.9, 1e-4, 1e-3) },
+		"DenseForward":   func() { DenseForward(dy, dx, dw, db, batch, in, out, scratch) },
+	} {
+		if a := testing.AllocsPerRun(20, call); a != 0 {
+			t.Errorf("%s: %v allocs per call, want 0", name, a)
+		}
+	}
+}
+
+// f32sFromBytes reinterprets raw as little-endian float32 bit patterns,
+// at slice offset off.
+func f32sFromBytes(raw []byte, off int) []float32 {
+	n := len(raw) / 4
+	v := make([]float32, off+n+8)[off : off+n : off+n]
+	for i := range v {
+		v[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
+	}
+	return v
+}
+
+func f32sToBytes(v []float32) []byte {
+	raw := make([]byte, 4*len(v))
+	for i, x := range v {
+		binary.LittleEndian.PutUint32(raw[4*i:], math.Float32bits(x))
+	}
+	return raw
+}
+
+// cycle returns n values drawn from src round-robin starting at from.
+func cycle(src []float32, from, n int) []float32 {
+	v := make([]float32, n)
+	for i := range v {
+		v[i] = src[(from+i)%len(src)]
+	}
+	return v
+}
+
+// FuzzLaneKernels feeds arbitrary float32 bit patterns, lengths, slice
+// offsets and layer shapes to every lane kernel and its twin.
+func FuzzLaneKernels(f *testing.F) {
+	rng := rand.New(rand.NewSource(24))
+	for _, kind := range laneKinds {
+		for _, n := range []int{1, 7, 8, 9, 33, 67} {
+			f.Add(f32sToBytes(laneVec(rng, n, 0, kind)), uint8(rng.Intn(8)), float32(rng.NormFloat64()), float32(rng.NormFloat64()), uint8(rng.Intn(40)), uint8(rng.Intn(40)))
+		}
+	}
+	f.Fuzz(func(t *testing.T, raw []byte, offByte uint8, alpha, beta float32, batchByte, inByte uint8) {
+		if len(raw) < 4 || len(raw) > 1<<16 {
+			return
+		}
+		off := int(offByte % 8)
+		x := f32sFromBytes(raw, off)
+		n := len(x)
+		y := cloneAt(cycle(x, n/2+1, n), off)
+		checkElementwise(t, x, y, alpha, beta, off)
+
+		// Arbitrary starting state, three steps: step 1 on the raw
+		// patterns, then on rotations of them.
+		m, v := cycle(x, 1, n), cycle(x, 2, n)
+		checkUpdates(t, x, m, v, func(s int) []float32 { return cloneAt(cycle(x, 2+s, n), off) }, 3, off)
+
+		batch, in, out := 1+int(batchByte%40), 1+int(inByte%40), 1+int(inByte/40)
+		checkDense(t, cloneAt(cycle(x, 0, batch*in), off), cycle(x, 3, in*out), cycle(x, 5, out), batch, in, out)
+	})
+}

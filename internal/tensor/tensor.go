@@ -16,6 +16,15 @@
 // used. Both accumulate in float64, where products of float32 inputs are
 // exact, so the fused kernels differ from the unfused Dot/Norm2 pair only
 // in the order partial sums are folded (see DESIGN.md).
+//
+// The rest of a rank's float32 arithmetic goes through the lane kernels
+// (lanes.go): Axpy, Sub and ScaledCombine element-wise, DenseForward
+// (the fully connected layer, samples on the vector lanes), AdamUpdate
+// and MomentumUpdate. Each is one AVX assembly body (lanes_amd64.s)
+// beside one pure-Go twin that defines it; unlike DotNorms these are
+// bit-exact — every lane performs the twin's operations in the twin's
+// order with no FMA — so amd64, -tags noasm and GOARCH=386 produce
+// identical results (DESIGN.md, "Lane kernels").
 package tensor
 
 import (
@@ -130,12 +139,20 @@ func Sum(a []float32) float64 {
 }
 
 // Axpy computes y += alpha*x in place. It panics on length mismatch.
+// x and y must not overlap (no caller passes overlapping slices).
 //
 //adasum:noalloc
 func Axpy(alpha float32, x, y []float32) {
 	if len(x) != len(y) {
 		panic(fmt.Sprintf("tensor: Axpy length mismatch %d != %d", len(x), len(y)))
 	}
+	axpy(alpha, x, y)
+}
+
+// axpyGeneric is the pure-Go twin of axpyAVX and the definition of Axpy.
+//
+//adasum:noalloc
+func axpyGeneric(alpha float32, x, y []float32) {
 	n := len(x)
 	i := 0
 	for ; i+4 <= n; i += 4 {
@@ -178,27 +195,45 @@ func Add(dst, a, b []float32) {
 	}
 }
 
-// Sub computes dst[i] = a[i] - b[i]. dst may alias a or b.
+// Sub computes dst[i] = a[i] - b[i]. dst may be a or b themselves;
+// partially overlapping slices are not supported (no caller passes
+// them).
 //
 //adasum:noalloc
 func Sub(dst, a, b []float32) {
 	if len(a) != len(b) || len(dst) != len(a) {
 		panic("tensor: Sub length mismatch")
 	}
+	sub(dst, a, b)
+}
+
+// subGeneric is the pure-Go twin of subAVX and the definition of Sub.
+//
+//adasum:noalloc
+func subGeneric(dst, a, b []float32) {
 	for i := range dst {
 		dst[i] = a[i] - b[i]
 	}
 }
 
 // ScaledCombine computes dst[i] = ca*a[i] + cb*b[i]. This is the inner
-// kernel of the Adasum combiner (line 18 of Algorithm 1). dst may alias
-// a or b.
+// kernel of the Adasum combiner (line 18 of Algorithm 1). dst may be a
+// or b themselves; partially overlapping slices are not supported (no
+// caller passes them).
 //
 //adasum:noalloc
 func ScaledCombine(dst []float32, ca float32, a []float32, cb float32, b []float32) {
 	if len(a) != len(b) || len(dst) != len(a) {
 		panic("tensor: ScaledCombine length mismatch")
 	}
+	scaledCombine(dst, ca, a, cb, b)
+}
+
+// scaledCombineGeneric is the pure-Go twin of scaledCombineAVX and the
+// definition of ScaledCombine.
+//
+//adasum:noalloc
+func scaledCombineGeneric(dst []float32, ca float32, a []float32, cb float32, b []float32) {
 	n := len(dst)
 	i := 0
 	for ; i+4 <= n; i += 4 {

@@ -186,3 +186,73 @@ func TestResumeRejectsWorkerMismatch(t *testing.T) {
 		t.Fatalf("error %q does not name both worker counts", got)
 	}
 }
+
+// TestResumeRejectsMismatchedOptimizerState: optimizer vectors ride the
+// checkpoint blob unvalidated by the codec, so a blob whose moments are
+// shorter or longer than the model must be rejected when the run is
+// built — before any Step hands them to a kernel — in the shared
+// (pre-optimizer) and the per-worker (post-optimizer) position alike.
+// Nil vectors, the state of an optimizer that has not stepped, stay
+// legal.
+func TestResumeRejectsMismatchedOptimizerState(t *testing.T) {
+	for _, scope := range []Scope{PreOptimizer, PostOptimizer} {
+		cfg := ckCfg(scope, CommCluster, true, nil)
+		h := Start(cfg)
+		for h.CompletedSteps() < 3 {
+			h.Step()
+		}
+		blob := h.Snapshot().Marshal()
+
+		// resume round-trips a doctored snapshot through the wire format
+		// and reports the panic of Start, if any.
+		resume := func(doctor func(*checkpoint.State)) (msg string) {
+			st, err := checkpoint.Unmarshal(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			doctor(st)
+			if st, err = checkpoint.Unmarshal(st.Marshal()); err != nil {
+				t.Fatal(err)
+			}
+			c := ckCfg(scope, CommCluster, true, nil)
+			c.Resume = st
+			defer func() {
+				if r := recover(); r != nil {
+					msg = r.(string)
+				}
+			}()
+			r := Start(c)
+			r.Step()
+			return ""
+		}
+		// The vector a doctor edits: Adam's m, where this scope keeps it.
+		m := func(st *checkpoint.State) *[]float32 {
+			if scope == PreOptimizer {
+				return &st.Shared.Vecs[0]
+			}
+			return &st.PerWorker[2].Opt.Vecs[0]
+		}
+
+		if msg := resume(func(*checkpoint.State) {}); msg != "" {
+			t.Fatalf("%v: an untouched snapshot was rejected: %s", scope, msg)
+		}
+		if msg := resume(func(st *checkpoint.State) {
+			st.Shared = optim.State{Vecs: [][]float32{nil, nil}}
+			for i := range st.PerWorker {
+				st.PerWorker[i].Opt = optim.State{Vecs: [][]float32{nil, nil}}
+			}
+		}); msg != "" {
+			t.Fatalf("%v: nil optimizer vectors were rejected: %s", scope, msg)
+		}
+		for name, doctor := range map[string]func(st *checkpoint.State){
+			"truncated": func(st *checkpoint.State) { *m(st) = (*m(st))[:len(*m(st))-5] },
+			"over-long": func(st *checkpoint.State) { *m(st) = append(*m(st), 0, 0, 0) },
+			"empty":     func(st *checkpoint.State) { *m(st) = []float32{} },
+		} {
+			msg := resume(doctor)
+			if !strings.Contains(msg, "optimizer vector") {
+				t.Errorf("%v: %s m: Start did not reject the snapshot (panic %q)", scope, name, msg)
+			}
+		}
+	}
+}

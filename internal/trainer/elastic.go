@@ -26,6 +26,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/compress"
 	"repro/internal/data"
+	"repro/internal/optim"
 	"repro/internal/overlap"
 	"repro/internal/tensor"
 )
@@ -243,6 +244,17 @@ func (r *run) restoreOrInit() {
 		if len(ck.Params) != len(r.params) {
 			panic(fmt.Sprintf("trainer: Resume snapshot has %d params, model has %d", len(ck.Params), len(r.params)))
 		}
+		// Optimizer state rides the blob too: a vector that is not
+		// exactly model-sized would walk off its end (or be silently
+		// half-used) in the next Step.
+		if i := misfitVec(ck.Shared, len(r.params)); i >= 0 {
+			panic(fmt.Sprintf("trainer: Resume snapshot's shared optimizer vector %d has %d values, model has %d params", i, len(ck.Shared.Vecs[i]), len(r.params)))
+		}
+		for rank, pw := range ck.PerWorker {
+			if i := misfitVec(pw.Opt, len(r.params)); i >= 0 {
+				panic(fmt.Sprintf("trainer: Resume snapshot's worker %d optimizer vector %d has %d values, model has %d params", rank, i, len(pw.Opt.Vecs[i]), len(r.params)))
+			}
+		}
 		if int(ck.Step) > r.cfg.MaxEpochs*r.stepsPerEpoch && !r.cfg.ReshapeResume {
 			// Under ReshapeResume this is legitimate: a job migrated up
 			// from a smaller gang (whose per-epoch step budget was
@@ -261,6 +273,18 @@ func (r *run) restoreOrInit() {
 	if r.cfg.OnFailure == GangRestart {
 		r.lastCk = r.snapshot()
 	}
+}
+
+// misfitVec returns the index of the first vector of st that is
+// allocated but not n long, or -1. Nil vectors — an optimizer that has
+// not stepped yet — fit any model.
+func misfitVec(st optim.State, n int) int {
+	for i, v := range st.Vecs {
+		if v != nil && len(v) != n {
+			return i
+		}
+	}
+	return -1
 }
 
 // snapshot captures the full training state at the current step

@@ -169,3 +169,23 @@ func TestReshapeResumeMigratesAcrossGangSizes(t *testing.T) {
 		t.Fatal("size-mismatched Resume without ReshapeResume validated")
 	}
 }
+
+// TestStepSteadyStateAllocs bounds the allocations of a warmed
+// Handle.Step. The per-worker batch (x, labels) and the logits gradient
+// used to be allocated once per worker per microbatch — 24 of a step's
+// 27 objects at 8 workers; they are worker- and network-owned buffers
+// now. What is left is the substrate's per-step bookkeeping (World.Run's
+// goroutines and closures), which the bound leaves room for without
+// letting a per-worker allocation back in.
+func TestStepSteadyStateAllocs(t *testing.T) {
+	cfg := goldenCommCfg()
+	cfg.MaxEpochs = 100
+	h := Start(cfg)
+	for i := 0; i < 3; i++ {
+		h.Step()
+	}
+	perStep := testing.AllocsPerRun(10, func() { h.Step() })
+	if limit := float64(cfg.Workers); perStep >= limit {
+		t.Errorf("a warmed Handle.Step allocates %.1f objects, want fewer than %v (one per worker)", perStep, limit)
+	}
+}

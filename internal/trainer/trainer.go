@@ -299,6 +299,11 @@ type worker struct {
 	iter  *data.Iterator
 	opt   optim.Optimizer
 	grad  []float32 // scratch: this worker's contribution per reduction
+
+	// The current microbatch, gathered into buffers reused every local
+	// step (the network holds x only until its backward pass returns).
+	x      []float32
+	labels []int
 }
 
 // Validate checks the configuration and reports the first problem as an
@@ -874,8 +879,8 @@ func (ce *commEngine) reduce(contributions [][]float32, active []int, base float
 
 func nextBatch(w *worker) ([]float32, []int, int) {
 	idx := w.iter.Next()
-	x, labels := w.shard.Batch(idx)
-	return x, labels, len(idx)
+	w.x, w.labels = w.shard.BatchInto(w.x, w.labels, idx)
+	return w.x, w.labels, len(idx)
 }
 
 func seq(n int) []int {

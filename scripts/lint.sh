@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # Static-analysis gate: gofmt, go vet, and the adasum-vet suite
-# (internal/analysis) over the whole module. adasum-vet runs its full
-# build-configuration matrix — default, noasm, GOARCH=386, the three
-# legs concurrently inside one process — so tag-gated fallback code is
-# held to the same determinism/noalloc/ownership invariants as the
-# native build, and so stale //adasum: suppressions (consumed under no
-# configuration) are caught.
+# (internal/analysis) over the whole module. go vet and adasum-vet both
+# cover the full build-configuration matrix — default, noasm, GOARCH=386
+# (adasum-vet runs its three legs concurrently inside one process) — so
+# tag-gated fallback code is held to the same determinism/noalloc/
+# ownership invariants as the native build, and so stale //adasum:
+# suppressions (consumed under no configuration) are caught.
 #
 # Usage: scripts/lint.sh [package patterns...]   (default: whole module)
 # Set ADASUM_VET_JSON=<path> to also write the findings as a JSON
@@ -22,8 +22,13 @@ if [ -n "$out" ]; then
 fi
 echo "ok"
 
-echo "== go vet =="
+# asmdecl (the assembly kernels against their Go declarations) only has
+# something to check in the default configuration; the other two vet the
+# pure-Go twins that replace the assembly there.
+echo "== go vet (default, noasm, 386) =="
 go vet ./...
+go vet -tags noasm ./...
+GOARCH=386 go vet ./...
 echo "ok"
 
 echo "== adasum-vet (default + noasm + 386, concurrent) =="
