@@ -7,8 +7,11 @@
 //
 // Quick scale (the default) shrinks worker counts and budgets so the
 // whole suite finishes in minutes; -full runs the DESIGN.md dimensions.
-// Output is a mix of aligned tables and CSV series; EXPERIMENTS.md maps
-// each output to the corresponding paper result.
+// Output is a mix of aligned tables and CSV series; each runner's doc
+// comment in internal/experiments names the paper result it reproduces,
+// DESIGN.md "Experiment substitutions" what stands in for the paper's
+// hardware and data, and internal/experiments/testdata/quick.golden is
+// the quick-scale output of `all`, section by section.
 package main
 
 import (

@@ -68,26 +68,34 @@
 // contain and why EF residuals are part of it), and the multi-tenant
 // scheduler's admission, preemption-protocol and virtual-time design
 // ("Multi-tenant service") — plus the experiment
-// substitution notes. The benchmark harness in bench_test.go
-// regenerates each experiment and micro-benchmarks the kernels:
+// substitution notes.
 //
-//	go test -bench=. -benchmem
+// The repository's benchmark is bench/run.sh (cmd/adasum-bench, a Go
+// module of its own): five named workloads, host and virtual clocks,
+// and a per-layer ladder; BENCHMARK.json declares its metrics and
+// bounds. bench_test.go holds developer micro-benchmarks — the kernels
+// and collectives one iterates on, at shapes the ladder does not time —
+// and gates nothing:
 //
-// scripts/bench.sh records the kernel/collective micro-benchmarks into
-// the next free BENCH_N.json snapshot so the performance trajectory is
-// tracked per PR, and scripts/bench_compare.sh gates CI on those
-// snapshots (>25% ns/op regression or new allocations on a 0-alloc
-// benchmark fail the workflow).
+//	go test -bench=. -benchmem .
+//
+// The machine-independent checks are tier-1 tests: the 0-alloc steady
+// states are testing.AllocsPerRun ratchets beside the //adasum:noalloc
+// roots they pin, and every table and figure's rendered quick-scale
+// output is a golden artefact
+// (internal/experiments/testdata/quick.golden) with the paper's claims
+// asserted over the same results.
 //
 // The invariants the tests check dynamically are also enforced
-// statically: cmd/adasum-vet runs the four custom analyzers of
+// statically: cmd/adasum-vet runs the five custom analyzers of
 // internal/analysis — detmap (no map-iteration order in results),
 // wallclock (no wall clock or ambient randomness where virtual clocks
 // rule), noalloc (//adasum:noalloc-marked hot paths free of
-// allocation-introducing constructs), and globalmut (no new
-// package-level mutable state) — over the deterministic packages under
-// the default, noasm and GOARCH=386 build configurations, with
-// mandatory-reason //adasum:<key> ok suppressions and stale-annotation
-// detection. scripts/lint.sh (CI's lint job) wires it in front of
+// allocation-introducing constructs, transitively), globalmut (no new
+// package-level mutable state), and poolown (pooled comm buffers
+// released exactly once, never used after) — over the deterministic
+// packages under the default, noasm and GOARCH=386 build
+// configurations, with mandatory-reason //adasum:<key> ok suppressions
+// and stale-annotation detection. scripts/lint.sh (CI's lint job) wires it in front of
 // every merge; see DESIGN.md's "Static enforcement" section.
 package repro

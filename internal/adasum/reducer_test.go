@@ -165,16 +165,24 @@ func TestTreeReduceInto(t *testing.T) {
 	}
 }
 
-// Steady-state Reducer reductions must not allocate.
+// Steady-state reductions and the package-level combines must not
+// allocate.
 func TestReducerSteadyStateAllocs(t *testing.T) {
-	layout := tensor.FlatLayout(1 << 10)
-	grads := randGrads(16, 1<<10, 31)
+	const n = 1 << 10
+	flat := tensor.FlatLayout(n)
+	layers := tensor.NewLayout([]string{"a", "b", "c", "d"}, []int{n / 4, n / 4, n / 4, n / 4})
+	grads := randGrads(16, n, 31)
+	dst := make([]float32, n)
 	r := NewReducer()
-	r.TreeReduce(grads, layout) // warm the workspace
-	allocs := testing.AllocsPerRun(20, func() {
-		r.TreeReduce(grads, layout)
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state TreeReduce allocates %.1f times per op", allocs)
+	for name, call := range map[string]func(){
+		"TreeReduce":    func() { r.TreeReduce(grads, flat) },
+		"LinearReduce":  func() { r.LinearReduce(grads, flat) },
+		"Combine":       func() { Combine(dst, grads[0], grads[1]) },
+		"CombineLayers": func() { CombineLayers(dst, grads[0], grads[1], layers) },
+	} {
+		call() // warm the workspace
+		if allocs := testing.AllocsPerRun(20, call); allocs != 0 {
+			t.Errorf("steady-state %s allocates %.1f times per op", name, allocs)
+		}
 	}
 }

@@ -8,11 +8,11 @@ import (
 
 // NoAlloc checks functions annotated `//adasum:noalloc` (in their doc
 // comment or on their declaration line) for allocation-introducing
-// constructs. These are the steady-state hot paths the bench gate pins
-// at 0 allocs/op — the collectives, the overlap engine step, the pool
-// get/put fast paths, the codec encode/decode loops — where a single
-// make, boxing conversion, or fmt call silently re-introduces per-op
-// garbage that only shows up when the benchmark regresses.
+// constructs. These are the steady-state hot paths the AllocsPerRun
+// ratchet tests pin at 0 allocs/op — the collectives, the overlap engine
+// step, the pool get/put fast paths, the codec encode/decode loops —
+// where a single make, boxing conversion, or fmt call silently
+// re-introduces per-op garbage on every shape no ratchet row covers.
 //
 // Flagged constructs: make/new/append, slice and map composite
 // literals, &composite literals, variable-capturing closures,

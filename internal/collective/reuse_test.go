@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/comm"
+	"repro/internal/simnet"
 	"repro/internal/tensor"
 )
 
@@ -90,9 +91,8 @@ func TestMixedCollectivesShareWorld(t *testing.T) {
 // TestBroadcastIntoGatherIntoReuse drives the pooled Into variants
 // repeatedly over one World with fixed destination buffers: results
 // must be identical every iteration (no pool-state leakage) and the
-// source vectors must never be clobbered. Together with
-// BenchmarkCommunicatorBroadcastGather16Ranks this pins the
-// steady-state 0 allocs/op contract of the Into variants.
+// source vectors must never be clobbered.
+// TestCollectiveSteadyStateAllocs pins their 0 allocs/op contract.
 func TestBroadcastIntoGatherIntoReuse(t *testing.T) {
 	const ranks, n = 8, 700
 	rng := rand.New(rand.NewSource(17))
@@ -185,6 +185,93 @@ func TestEqualChunkMatchesEqualRanges(t *testing.T) {
 				t.Errorf("equalChunk(%d,%d,%d) = [%d,%d), table says [%d,%d)",
 					n, parts, i, lo, hi, ranges[i][0], ranges[i][1])
 			}
+		}
+	}
+}
+
+// TestCollectiveSteadyStateAllocs is the 0-alloc ratchet of the
+// //adasum:noalloc collectives: once the pool, the dot scratch and the
+// links exist, a collective allocates nothing on any of the 16 ranks.
+// Each op is one World.Run, so the ranks are in lock-step (the pool's
+// working set cannot depend on how far a rank runs ahead) and
+// testing.AllocsPerRun — which counts the whole process's mallocs and
+// mutates GOMAXPROCS — runs on the test goroutine, outside the gang.
+func TestCollectiveSteadyStateAllocs(t *testing.T) {
+	const ranks, n = 16, 1 << 12
+	flat := tensor.FlatLayout(n)
+	layers := tensor.NewLayout(
+		[]string{"conv", "bn", "fc", "head"},
+		[]int{n / 2, n / 8, n / 4, n / 8})
+	// Skew, jitter and a live (never-firing) deadline keep every receive
+	// polling the sender's death latch and every clock advance checking
+	// the fail-at time: the elasticity plumbing's share of the hot path.
+	skew := make([]float64, ranks)
+	for i := range skew {
+		skew[i] = 1
+	}
+	skew[ranks-1] = 1.3
+	faulty := simnet.Uniform(ranks, 1e-6, 1e-10)
+	faulty.Faults = &simnet.Faults{
+		SkewFactors: skew,
+		Jitter:      0.05, JitterSeed: 11,
+		FailAtSeconds: map[int]float64{0: 1e18},
+	}
+	inputs := randVecs(ranks, n, 41)
+
+	for _, row := range []struct {
+		name     string
+		model    *simnet.Model
+		strategy Strategy
+		// op returns one rank's steady-state operation on its vector x.
+		op func(c *Communicator, x []float32) func()
+	}{
+		{"AdasumRVH/flat", nil, StrategyRVH, func(c *Communicator, x []float32) func() {
+			return func() { c.Adasum(x, flat) }
+		}},
+		{"AdasumRVH/4-layer", nil, StrategyRVH, func(c *Communicator, x []float32) func() {
+			return func() { c.Adasum(x, layers) }
+		}},
+		{"AdasumRVH/4-layer/faults", faulty, StrategyRVH, func(c *Communicator, x []float32) func() {
+			step := 0
+			return func() {
+				p := c.Proc()
+				p.Compute(1e-4 * faulty.Faults.ComputeScale(p.Rank(), step))
+				step++
+				c.Adasum(x, layers)
+			}
+		}},
+		{"AllreduceSum/ring", nil, StrategyRing, func(c *Communicator, x []float32) func() {
+			return func() { c.AllreduceSum(x) }
+		}},
+		{"BroadcastInto+GatherInto", nil, StrategyAuto, func(c *Communicator, x []float32) func() {
+			src := x
+			if c.Rank() != 0 {
+				src = nil
+			}
+			dst := make([]float32, n)
+			rows := make([][]float32, ranks)
+			for i := range rows {
+				rows[i] = make([]float32, n)
+			}
+			return func() {
+				c.BroadcastInto(0, dst, src)
+				c.GatherInto(1, dst, rows)
+			}
+		}},
+	} {
+		w := comm.NewWorld(ranks, row.model)
+		g := WorldGroup(ranks)
+		ops := make([]func(), ranks)
+		w.Run(func(p *comm.Proc) {
+			c := New(p, g, Config{Strategy: row.strategy})
+			ops[p.Rank()] = row.op(c, tensor.Clone(inputs[p.Rank()]))
+		})
+		step := func(p *comm.Proc) { ops[p.Rank()]() }
+		for i := 0; i < 3; i++ { // mint the links, the pool and the scratch
+			w.Run(step)
+		}
+		if a := testing.AllocsPerRun(10, func() { w.Run(step) }); a != 0 {
+			t.Errorf("%s: %v allocs per op across %d ranks, want 0", row.name, a, ranks)
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 
-	"repro/internal/collective"
 	"repro/internal/comm"
 	"repro/internal/compress"
 	"repro/internal/overlap"
@@ -143,13 +142,7 @@ func adaptiveArms() []bandwidthArm {
 // RunAdaptive measures every knob on every bandwidth arm.
 func RunAdaptive(scale Scale) *AdaptiveResult {
 	cfg := adaptiveConfig(scale)
-	names := make([]string, cfg.Layers)
-	sizes := make([]int, cfg.Layers)
-	for i := range names {
-		names[i] = fmt.Sprintf("layer%d", i)
-		sizes[i] = cfg.LayerFloats
-	}
-	layout := tensor.NewLayout(names, sizes)
+	layout := tensor.NewLayout(uniformLayers("layer", cfg.Layers, cfg.LayerFloats))
 
 	res := &AdaptiveResult{
 		Ranks: cfg.Ranks, Layers: cfg.Layers,
@@ -192,35 +185,21 @@ func RunAdaptive(scale Scale) *AdaptiveResult {
 // deterministic.
 func measureAdaptiveArm(cfg AdaptiveConfig, layout tensor.Layout, arm bandwidthArm, knob compress.Compression) float64 {
 	model := simnet.TCP40Racked(cfg.Ranks, cfg.NodesPerRack)
-	w := comm.NewWorld(cfg.Ranks, model)
-	group := collective.WorldGroup(cfg.Ranks)
-	engines := make([]*overlap.Engine, cfg.Ranks)
-	for r := range engines {
-		engines[r] = overlap.New(overlap.Options{
-			Group: group, Layout: layout,
-			FusionBytes: cfg.FusionBytes, Strategy: collective.StrategyRVH,
-			Overlap: true, StepSeconds: cfg.StepSeconds,
-			Compression: knob,
-		})
-	}
-	xs := make([][]float32, cfg.Ranks)
-	for r := range xs {
-		rng := rand.New(rand.NewSource(int64(7000 + r)))
-		xs[r] = make([]float32, layout.TotalSize())
-		for i := range xs[r] {
-			mag := math.Exp(-100 * rng.Float64())
-			if rng.Intn(2) == 0 {
-				mag = -mag
-			}
-			xs[r][i] = float32(mag)
+	step := engineGang(comm.NewWorld(cfg.Ranks, model), overlap.Options{
+		Layout: layout, FusionBytes: cfg.FusionBytes,
+		Overlap: true, StepSeconds: cfg.StepSeconds,
+		Compression: knob,
+	}, 7000, func(rng *rand.Rand) float32 {
+		mag := math.Exp(-100 * rng.Float64())
+		if rng.Intn(2) == 0 {
+			mag = -mag
 		}
-	}
+		return float32(mag)
+	})
 	total := 0.0
 	for s := 0; s < cfg.Steps; s++ {
 		arm.set(model, s, cfg.Steps)
-		total += comm.MaxClock(w, func(p *comm.Proc) {
-			engines[p.Rank()].Step(p, xs[p.Rank()])
-		})
+		total += step()
 	}
 	return total / float64(cfg.Steps)
 }

@@ -1,13 +1,14 @@
 // Package experiments contains one runner per table and figure of the
 // paper's evaluation (§3.6-§5.5). Each runner builds its workload from
 // the synthetic substrates, executes the sweep, and returns a structured
-// result that both the CLI (cmd/adasum-experiments) and the benchmark
-// harness (bench_test.go) consume. EXPERIMENTS.md records how each
-// result's shape compares with the paper's.
+// result that the CLI (cmd/adasum-experiments) renders and the tests
+// assert on: testdata/quick.golden pins every runner's quick-scale
+// output and the Test*Quick tests hold it to the paper's claim; DESIGN.md
+// "Experiment substitutions" says what stands in for the paper's setup.
 //
 // Every runner accepts a Scale: ScaleQuick shrinks worker counts, model
-// sizes and step budgets so the full suite runs in seconds (used by
-// tests and benchmarks); ScaleFull uses the DESIGN.md dimensions.
+// sizes and step budgets so the full suite runs in about a minute (used
+// by the tests); ScaleFull uses the DESIGN.md dimensions.
 package experiments
 
 import (
@@ -140,6 +141,18 @@ func mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
+}
+
+// uniformLayers names n equal layers of per floats prefix0..prefix<n-1>,
+// in the argument order of tensor.NewLayout.
+func uniformLayers(prefix string, n, per int) (names []string, sizes []int) {
+	names = make([]string, n)
+	sizes = make([]int, n)
+	for i := range names {
+		names[i] = fmt.Sprint(prefix, i)
+		sizes[i] = per
+	}
+	return names, sizes
 }
 
 func seqInts(n int) []int {

@@ -3,9 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"math/rand"
 
-	"repro/internal/collective"
 	"repro/internal/comm"
 	"repro/internal/compress"
 	"repro/internal/data"
@@ -106,13 +104,7 @@ func compressionCodecs() []compress.Codec {
 // RunCompression measures every codec arm on both axes.
 func RunCompression(scale Scale) *CompressionResult {
 	cfg := compressionConfig(scale)
-	names := make([]string, cfg.Layers)
-	sizes := make([]int, cfg.Layers)
-	for i := range names {
-		names[i] = fmt.Sprintf("layer%d", i)
-		sizes[i] = cfg.LayerFloats
-	}
-	layout := tensor.NewLayout(names, sizes)
+	layout := tensor.NewLayout(uniformLayers("layer", cfg.Layers, cfg.LayerFloats))
 	gradBytes := 4 * int64(layout.TotalSize())
 	stepSec := float64(gradBytes) * cfg.ComputePerByte
 
@@ -142,29 +134,12 @@ func RunCompression(scale Scale) *CompressionResult {
 // the TCP-40Gb cluster under the codec and returns the charged wire
 // bytes and the simulated step seconds.
 func measureCompressedStep(cfg CompressionConfig, layout tensor.Layout, stepSec float64, codec compress.Codec) (wire int64, sec float64) {
-	model := simnet.TCP40(cfg.Ranks)
-	w := comm.NewWorld(cfg.Ranks, model)
-	group := collective.WorldGroup(cfg.Ranks)
-	engines := make([]*overlap.Engine, cfg.Ranks)
-	for r := range engines {
-		engines[r] = overlap.New(overlap.Options{
-			Group: group, Layout: layout,
-			FusionBytes: cfg.FusionBytes, Strategy: collective.StrategyRVH,
-			Overlap: true, StepSeconds: stepSec,
-			Compression: codec,
-		})
-	}
-	xs := make([][]float32, cfg.Ranks)
-	for r := range xs {
-		rng := rand.New(rand.NewSource(int64(3000 + r)))
-		xs[r] = make([]float32, layout.TotalSize())
-		for i := range xs[r] {
-			xs[r][i] = rng.Float32() - 0.5
-		}
-	}
-	sec = comm.MaxClock(w, func(p *comm.Proc) {
-		engines[p.Rank()].Step(p, xs[p.Rank()])
-	})
+	w := comm.NewWorld(cfg.Ranks, simnet.TCP40(cfg.Ranks))
+	sec = engineGang(w, overlap.Options{
+		Layout: layout, FusionBytes: cfg.FusionBytes,
+		Overlap: true, StepSeconds: stepSec,
+		Compression: codec,
+	}, 3000, centeredUniform)()
 	return w.WireBytes(), sec
 }
 
@@ -225,15 +200,4 @@ func (r *CompressionResult) Render(w io.Writer) {
 			r.FinalAccuracy[i])
 	}
 	t.Write(w)
-}
-
-// WireReductionFor returns the fraction of baseline wire bytes saved by
-// the named codec arm, or 0 if absent.
-func (r *CompressionResult) WireReductionFor(name string) float64 {
-	for i, c := range r.Codecs {
-		if c == name {
-			return r.WireReduction[i]
-		}
-	}
-	return 0
 }

@@ -40,7 +40,7 @@ func TestSparkline(t *testing.T) {
 }
 
 func TestFig4ShapeQuick(t *testing.T) {
-	r := RunFig4(ScaleQuick)
+	r := quickFig4()
 	if len(r.Bytes) == 0 {
 		t.Fatal("empty sweep")
 	}
@@ -63,7 +63,7 @@ func TestFig4ShapeQuick(t *testing.T) {
 }
 
 func TestTable1ShapeQuick(t *testing.T) {
-	r := RunTable1(ScaleQuick)
+	r := quickTable1()
 	if r.With.Microbatch <= r.Without.Microbatch {
 		t.Fatalf("microbatch did not grow: %d -> %d", r.Without.Microbatch, r.With.Microbatch)
 	}
@@ -80,7 +80,7 @@ func TestTable1ShapeQuick(t *testing.T) {
 }
 
 func TestFig2ShapeQuick(t *testing.T) {
-	r := RunFig2(ScaleQuick)
+	r := quickFig2()
 	am, sm := r.MeanErrors()
 	if am >= sm {
 		t.Fatalf("adasum mean error %v not below sync-sgd %v", am, sm)
@@ -99,7 +99,7 @@ func TestFig2ShapeQuick(t *testing.T) {
 }
 
 func TestTable4ShapeQuick(t *testing.T) {
-	r := RunTable4(ScaleQuick)
+	r := quickTable4()
 	if len(r.Rows) < 2 {
 		t.Fatal("need at least two GPU counts")
 	}
@@ -121,6 +121,9 @@ func TestTable4ShapeQuick(t *testing.T) {
 				row.AdasumTimeMin, row.SumTimeMin, row.GPUs)
 		}
 	}
+	if last := r.Rows[len(r.Rows)-1]; last.SumPH1 <= 1 || last.AdasumPH1 <= 1 {
+		t.Fatal("no scaling at higher GPU counts")
+	}
 	// Baseline throughput calibration (paper: 12.2K / 4.6K samples/s).
 	if r.BaselinePH1Tput < 10_000 || r.BaselinePH1Tput > 14_000 {
 		t.Fatalf("ph1 baseline throughput %v outside the paper band", r.BaselinePH1Tput)
@@ -131,13 +134,88 @@ func TestFig1ShapeQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training run")
 	}
-	r := RunFig1("bert", ScaleQuick)
-	early, late := r.EarlyLate()
-	if late <= early {
-		t.Fatalf("orthogonality did not rise: %v -> %v", early, late)
+	for _, r := range []*Fig1Result{quickFig1Resnet(), quickFig1Bert()} {
+		early, late := r.EarlyLate()
+		if late <= early {
+			t.Fatalf("%s: orthogonality did not rise: %v -> %v", r.Model, early, late)
+		}
+		if len(r.PerLayer) == 0 {
+			t.Fatalf("%s: no per-layer series recorded", r.Model)
+		}
 	}
-	if len(r.PerLayer) == 0 {
-		t.Fatal("no per-layer series recorded")
+}
+
+// Fig. 5 / §5.1.2: at the 16K-equivalent batch Sum's scaled learning
+// rate fails to reach the target and Adasum, base schedule untouched,
+// still does.
+func TestFig5ShapeQuick(t *testing.T) {
+	r := quickFig5()
+	if r.Run("Sum 16k").Converged {
+		t.Fatal("Sum 16k unexpectedly converged")
+	}
+	if !r.Run("Adasum 16k").Converged {
+		t.Fatal("Adasum 16k failed to converge")
+	}
+}
+
+// Fig. 6 / §5.4: with the untuned sequential learning rate Adasum holds
+// its accuracy at the largest gang where Sum does not.
+func TestFig6ShapeQuick(t *testing.T) {
+	r := quickFig6()
+	big := r.GPUCounts[len(r.GPUCounts)-1]
+	ada := r.Cell("adasum", big, false).Accuracy
+	sum := r.Cell("sum", big, false).Accuracy
+	if ada < sum {
+		t.Fatalf("untuned adasum (%v) below untuned sum (%v) at %d gpus", ada, sum, big)
+	}
+}
+
+// Table 2 / §5.2: on slow TCP, 16 local steps cut the epoch time and
+// still converge at the 64K-equivalent batch.
+func TestTable2ShapeQuick(t *testing.T) {
+	r := quickTable2()
+	local16, local1 := r.Rows[0], r.Rows[1]
+	if local16.MinPerEpoch >= local1.MinPerEpoch {
+		t.Fatal("16 local steps did not reduce epoch time")
+	}
+	if !local16.Converged {
+		t.Fatal("local-SGD at 64K-equivalent batch failed to converge")
+	}
+}
+
+// Table 3 / §5.3.2: scaled-LR Adam reports "-" at the 64K-equivalent
+// batch, both LAMB rows converge, and Adasum-LAMB needs fewer phase-1
+// iterations than Baseline-LAMB.
+func TestTable3ShapeQuick(t *testing.T) {
+	r := quickTable3()
+	if r.Row("Baseline-Adam").Converged {
+		t.Fatal("scaled-LR Adam unexpectedly converged at 64K-equivalent batch")
+	}
+	lamb := r.Row("Baseline-LAMB")
+	ada := r.Row("Adasum-LAMB")
+	if !lamb.Converged || !ada.Converged {
+		t.Fatal("LAMB rows failed to converge")
+	}
+	if ada.Phase1 >= lamb.Phase1 {
+		t.Fatalf("Adasum-LAMB (%d) not faster than Baseline-LAMB (%d)", ada.Phase1, lamb.Phase1)
+	}
+}
+
+// §4.4.3: launching buckets against the tail of backprop hides transfer
+// behind compute on the slow interconnect.
+func TestOverlapShapeQuick(t *testing.T) {
+	r := quickOverlap()
+	if s := r.BestSpeedup(); s < 1.1 {
+		t.Fatalf("overlapping gained only %.3fx over sync on the inter-node model", s)
+	}
+}
+
+// §4.2.2 composed one level further: somewhere in the payload range the
+// rack stage pays for itself.
+func TestTopologyShapeQuick(t *testing.T) {
+	r := quickTopology()
+	if s := r.BestThreeLevelSpeedup(); s < 1.0 {
+		t.Fatalf("3-level topology never beat 2-level: best ratio %.3f", s)
 	}
 }
 
@@ -148,7 +226,7 @@ func TestFig1ShapeQuick(t *testing.T) {
 // quickstart config, and naive dropping must not within the same
 // budget.
 func TestRunCompressionQuick(t *testing.T) {
-	r := RunCompression(ScaleQuick)
+	r := quickCompression()
 	if len(r.Codecs) < 5 || r.Codecs[0] != "none" {
 		t.Fatalf("unexpected codec arms %v", r.Codecs)
 	}
@@ -188,7 +266,7 @@ func TestRunCompressionQuick(t *testing.T) {
 }
 
 func TestRunElasticQuick(t *testing.T) {
-	r := RunElastic(ScaleQuick)
+	r := quickElastic()
 	if len(r.Rows) != 6 {
 		t.Fatalf("expected 6 (arm, condition) rows, got %d", len(r.Rows))
 	}
@@ -212,7 +290,7 @@ func TestRunElasticQuick(t *testing.T) {
 }
 
 func TestRunScaleQuick(t *testing.T) {
-	r := RunScale(ScaleQuick)
+	r := quickScale()
 	want := []int{64, 256, 1024}
 	if len(r.Ranks) != len(want) {
 		t.Fatalf("rank sweep %v, want %v", r.Ranks, want)
@@ -260,7 +338,7 @@ func TestRunScaleQuick(t *testing.T) {
 // static codec's, and on the shifting-bandwidth arm — where no static
 // choice fits both halves — it is strictly better than every static.
 func TestRunAdaptiveQuickScale(t *testing.T) {
-	r := RunAdaptive(ScaleQuick)
+	r := quickAdaptive()
 	if len(r.Arms) != 3 || len(r.Knobs) != 5 {
 		t.Fatalf("sweep shape %v x %v", r.Arms, r.Knobs)
 	}
@@ -314,7 +392,7 @@ func TestRunAdaptiveQuickScale(t *testing.T) {
 // injected rank failure must be absorbed exactly once under every
 // policy.
 func TestRunServeQuick(t *testing.T) {
-	r := RunServe(ScaleQuick)
+	r := quickServe()
 	if len(r.Rows) != 3 {
 		t.Fatalf("want 3 policies, got %d", len(r.Rows))
 	}

@@ -106,10 +106,7 @@ func RunFig1(model string, scale Scale) *Fig1Result {
 		}
 	}
 	// Limit epochs so total steps ≈ cfg.Steps.
-	stepsPerEpoch := train.N / (cfg.Workers * cfg.Microbatch)
-	if stepsPerEpoch == 0 {
-		stepsPerEpoch = 1
-	}
+	stepsPerEpoch := max(1, train.N/(cfg.Workers*cfg.Microbatch))
 	tcfg.MaxEpochs = cfg.Steps/stepsPerEpoch + 1
 	trainer.Run(tcfg)
 
@@ -122,12 +119,10 @@ func RunFig1(model string, scale Scale) *Fig1Result {
 func (r *Fig1Result) Render(w io.Writer) {
 	all := append([]Series{r.Average}, r.PerLayer...)
 	WriteCSV(w, fmt.Sprintf("Figure 1 (%s): per-layer gradient orthogonality", r.Model), all)
-	n := len(r.Average.Y)
-	if n == 0 {
+	if len(r.Average.Y) == 0 {
 		return
 	}
-	early := mean(r.Average.Y[:maxInt(1, n/5)])
-	late := mean(r.Average.Y[n-maxInt(1, n/5):])
+	early, late := r.EarlyLate()
 	fmt.Fprintf(w, "average orthogonality: early %.3f -> late %.3f   trend %s\n",
 		early, late, Sparkline(r.Average.Y))
 	fmt.Fprintf(w, "LR boundaries at steps %v\n\n", r.LRBoundaries)
@@ -142,13 +137,6 @@ func (r *Fig1Result) EarlyLate() (early, late float64) {
 	if n == 0 {
 		return 0, 0
 	}
-	k := maxInt(1, n/5)
+	k := max(1, n/5)
 	return mean(r.Average.Y[:k]), mean(r.Average.Y[n-k:])
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -76,13 +76,10 @@ func RunFig2(scale Scale) *Fig2Result {
 		grads := make([][]float32, 0, cfg.Workers)
 		for w := 0; w < cfg.Workers; w++ {
 			lo := w * cfg.Microbatch
-			hi := lo + cfg.Microbatch
 			if lo >= len(idx) {
 				break
 			}
-			if hi > len(idx) {
-				hi = len(idx)
-			}
+			hi := min(lo+cfg.Microbatch, len(idx))
 			x, l := train.Batch(idx[lo:hi])
 			g, h, _ := m.GradientAndHessian(x, l, hi-lo)
 			items = append(items, hessian.GradHess{G: g, H: h})

@@ -1,14 +1,12 @@
 package experiments
 
 import (
-	"fmt"
 	"io"
 
 	"repro/internal/collective"
 	"repro/internal/comm"
 	"repro/internal/fusion"
 	"repro/internal/simnet"
-	"repro/internal/tensor"
 )
 
 // Fig4Result holds the latency sweep of Figure 4: allreduce latency (ms)
@@ -29,10 +27,7 @@ type Fig4Config struct {
 	Tensors     int // tensors fused per point (the paper uses 64)
 	FusionBytes int // fusion threshold (the paper uses 2 MB)
 	// MaxRealFloats bounds how many float32s are actually allocated per
-	// rank; larger logical payloads are simulated exactly by scaling the
-	// cost model's per-byte term (the alpha-beta model is linear in
-	// message size, so this preserves every latency up to the fixed-size
-	// dot-product side messages).
+	// rank; larger logical payloads go through shrinkPayload.
 	MaxRealFloats int
 }
 
@@ -74,40 +69,15 @@ func RunFig4(scale Scale) *Fig4Result {
 // measureAllreduce returns the simulated seconds to allreduce a logical
 // payload of logicalBytes, fused per the config.
 func measureAllreduce(cfg Fig4Config, logicalBytes int, useAdasum bool) float64 {
-	logicalFloats := logicalBytes / 4
-	if logicalFloats == 0 {
-		logicalFloats = 1
-	}
-	realFloats := logicalFloats
-	scaleF := 1.0
-	if realFloats > cfg.MaxRealFloats {
-		scaleF = float64(realFloats) / float64(cfg.MaxRealFloats)
-		realFloats = cfg.MaxRealFloats
-	}
 	model := simnet.AzureNC24rsV3(cfg.Ranks)
-	// Scale the per-byte costs so the small real payload charges exactly
-	// what the logical payload would.
-	model.BetaIntra *= scaleF
-	model.BetaInter *= scaleF
-	model.FlopBeta *= scaleF
-	model.MemCopyBeta *= scaleF
+	realFloats, scaleF := shrinkPayload(model, max(logicalBytes/4, 1), cfg.MaxRealFloats)
 
 	// Split the payload into cfg.Tensors tensors and compute the real
 	// fusion threshold corresponding to the logical 2 MB.
-	per := realFloats / cfg.Tensors
-	if per == 0 {
-		per = 1
-	}
-	sizes := make([]int, cfg.Tensors)
-	names := make([]string, cfg.Tensors)
-	for i := range sizes {
-		sizes[i] = per
-		names[i] = fmt.Sprintf("t%d", i)
-	}
-	realThreshold := int(float64(cfg.FusionBytes) / scaleF)
-	if realThreshold < per*4 {
-		realThreshold = per * 4 // at least one tensor per group
-	}
+	per := max(realFloats/cfg.Tensors, 1)
+	names, sizes := uniformLayers("t", cfg.Tensors, per)
+	// At least one tensor per group.
+	realThreshold := max(int(float64(cfg.FusionBytes)/scaleF), per*4)
 
 	w := comm.NewWorld(cfg.Ranks, model)
 	g := collective.WorldGroup(cfg.Ranks)
@@ -137,7 +107,6 @@ func measureAllreduce(cfg Fig4Config, logicalBytes int, useAdasum bool) float64 
 			p.ComputeMemCopy(groups[gi].Bytes())
 		}
 		fusion.UnfuseAll(groups, tensors)
-		_ = tensor.Norm2(tensors[0]) // keep results alive
 	})
 }
 

@@ -73,24 +73,24 @@ func RunFig5(scale Scale) *Fig5Result {
 	factory := func() *nn.Network { return nn.NewResNetProxy(64, 16, 96, 3) }
 
 	type variant struct {
-		name   string
-		red    trainer.Reduction
-		micro  int
-		factor float64 // the paper's linear LR scaling for the Sum runs
+		name  string
+		red   trainer.Reduction
+		micro int
+		// paperMicro is the microbatch on the paper's hardware: the time
+		// model prices the real cluster whatever quick mode shrinks.
+		paperMicro int
+		factor     float64 // the paper's linear LR scaling for the Sum runs
 	}
 	variants := []variant{
-		{"Sum 2k", trainer.ReduceSum, cfg.SmallMicro, 8},
-		{"Sum 16k", trainer.ReduceSum, cfg.LargeMicro, 64},
-		{"Adasum 2k", trainer.ReduceAdasum, cfg.SmallMicro, 1},
-		{"Adasum 16k", trainer.ReduceAdasum, cfg.LargeMicro, 1},
+		{"Sum 2k", trainer.ReduceSum, cfg.SmallMicro, 32, 8},
+		{"Sum 16k", trainer.ReduceSum, cfg.LargeMicro, 256, 64},
+		{"Adasum 2k", trainer.ReduceAdasum, cfg.SmallMicro, 32, 1},
+		{"Adasum 16k", trainer.ReduceAdasum, cfg.LargeMicro, 256, 1},
 	}
 
 	res := &Fig5Result{}
 	for _, v := range variants {
-		stepsPerEpoch := cfg.TrainN / (cfg.Workers * v.micro)
-		if stepsPerEpoch == 0 {
-			stepsPerEpoch = 1
-		}
+		stepsPerEpoch := max(1, cfg.TrainN/(cfg.Workers*v.micro))
 		sched := optim.Schedule(optim.MultiStep{
 			Base:       cfg.BaseLR,
 			Milestones: []int{cfg.Budget * stepsPerEpoch / 2, cfg.Budget * stepsPerEpoch * 3 / 4},
@@ -114,7 +114,7 @@ func RunFig5(scale Scale) *Fig5Result {
 			Seed:           52,
 			Parallel:       true,
 		})
-		minPerEpoch := fig5MinutesPerEpoch(cfg, fig5PaperMicro(v.micro == cfg.LargeMicro), v.red == trainer.ReduceAdasum)
+		minPerEpoch := fig5MinutesPerEpoch(cfg, v.paperMicro, v.red == trainer.ReduceAdasum)
 		run := Fig5Run{
 			Name:           v.name,
 			EffectiveBatch: cfg.Workers * v.micro,
@@ -136,31 +136,13 @@ func RunFig5(scale Scale) *Fig5Result {
 	return res
 }
 
-// fig5PaperMicro maps a variant to the microbatch used on the paper's
-// hardware (32 for the 2K configs, 256 for 16K) so the time model always
-// reflects the real cluster regardless of quick-mode shrinking.
-func fig5PaperMicro(large bool) int {
-	if large {
-		return 256
-	}
-	return 32
-}
-
 // fig5MinutesPerEpoch computes the §5.1.3 epoch times on the hardware
-// model: an ImageNet-sized epoch (1.28M images) over 64 V100s with the
-// configuration's microbatch, plus one allreduce of the 102 MB gradient
-// per step.
+// model: an ImageNet epoch over 64 V100s with the configuration's
+// microbatch, plus one allreduce of the 102 MB gradient per step.
 func fig5MinutesPerEpoch(cfg Fig5Config, paperMicro int, adasum bool) float64 {
-	const imagenet = 1_281_167
 	cm := simnet.ResNet50V100()
-	steps := imagenet / (cfg.RealWorkers * paperMicro)
-	compute := cm.StepComputeTime(paperMicro)
-	kind := "sum"
-	if adasum {
-		kind = "hier-adasum"
-	}
-	comm := allreduceSeconds(simnet.AzureNC24rsV3, cfg.RealWorkers, 4, cm.ParamBytes, kind)
-	return float64(steps) * (compute + comm) / 60
+	comm := allreduceSeconds(simnet.AzureNC24rsV3, cfg.RealWorkers, 4, cm.ParamBytes, adasum)
+	return imagenetEpochMinutes(cm, cfg.RealWorkers, paperMicro, comm)
 }
 
 // Render writes the §5.1.2 epochs table, the §5.1.3 epoch-time table and

@@ -81,10 +81,7 @@ func RunFig6(scale Scale) *Fig6Result {
 
 	for _, gpus := range cfg.GPUCounts {
 		for _, method := range []trainer.Reduction{trainer.ReduceAdasum, trainer.ReduceSum} {
-			name := "adasum"
-			if method == trainer.ReduceSum {
-				name = "sum"
-			}
+			name := method.String() // "adasum" | "sum"
 			// Untuned: the sequential base LR as-is.
 			acc := fig6Run(cfg, train, test, gpus, method, cfg.BaseLR)
 			res.Cells = append(res.Cells, Fig6Cell{
@@ -113,10 +110,7 @@ func RunFig6(scale Scale) *Fig6Result {
 // The epoch budget is fixed (the §5.4 protocol): more workers means
 // fewer, larger steps through the same schedule.
 func fig6Run(cfg Fig6Config, train, test *data.Dataset, gpus int, method trainer.Reduction, lr float64) float64 {
-	stepsPerEpoch := cfg.TrainN / (gpus * cfg.Batch)
-	if stepsPerEpoch == 0 {
-		stepsPerEpoch = 1
-	}
+	stepsPerEpoch := max(1, cfg.TrainN/(gpus*cfg.Batch))
 	total := cfg.Epochs * stepsPerEpoch
 	sched := optim.Schedule(optim.LinearWarmupDecay{
 		Base:        lr,

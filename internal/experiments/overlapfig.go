@@ -3,9 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"math/rand"
 
-	"repro/internal/collective"
 	"repro/internal/comm"
 	"repro/internal/overlap"
 	"repro/internal/simnet"
@@ -64,13 +62,7 @@ func overlapConfig(scale Scale) OverlapConfig {
 // backward compute versus after it.
 func RunOverlap(scale Scale) *OverlapResult {
 	cfg := overlapConfig(scale)
-	names := make([]string, cfg.Layers)
-	sizes := make([]int, cfg.Layers)
-	for i := range names {
-		names[i] = fmt.Sprintf("layer%d", i)
-		sizes[i] = cfg.LayerFloats
-	}
-	layout := tensor.NewLayout(names, sizes)
+	layout := tensor.NewLayout(uniformLayers("layer", cfg.Layers, cfg.LayerFloats))
 	gradBytes := layout.TotalSize() * 4
 	stepSec := float64(gradBytes) * cfg.ComputePerByte
 
@@ -92,28 +84,11 @@ func RunOverlap(scale Scale) *OverlapResult {
 // measureOverlapStep returns the simulated seconds of one bucketed
 // AdasumRVH reduction step on the TCP40 cluster.
 func measureOverlapStep(cfg OverlapConfig, layout tensor.Layout, stepSec float64, threshold int, async bool) float64 {
-	model := simnet.TCP40(cfg.Ranks)
-	w := comm.NewWorld(cfg.Ranks, model)
-	group := collective.WorldGroup(cfg.Ranks)
-	engines := make([]*overlap.Engine, cfg.Ranks)
-	for r := range engines {
-		engines[r] = overlap.New(overlap.Options{
-			Group: group, Layout: layout,
-			FusionBytes: threshold, Strategy: collective.StrategyRVH,
-			Overlap: async, StepSeconds: stepSec,
-		})
-	}
-	xs := make([][]float32, cfg.Ranks)
-	for r := range xs {
-		rng := rand.New(rand.NewSource(int64(1000 + r)))
-		xs[r] = make([]float32, layout.TotalSize())
-		for i := range xs[r] {
-			xs[r][i] = rng.Float32() - 0.5
-		}
-	}
-	return comm.MaxClock(w, func(p *comm.Proc) {
-		engines[p.Rank()].Step(p, xs[p.Rank()])
-	})
+	w := comm.NewWorld(cfg.Ranks, simnet.TCP40(cfg.Ranks))
+	return engineGang(w, overlap.Options{
+		Layout: layout, FusionBytes: threshold,
+		Overlap: async, StepSeconds: stepSec,
+	}, 1000, centeredUniform)()
 }
 
 // Render writes the sweep table.

@@ -3,11 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-
-	"repro/internal/collective"
-	"repro/internal/comm"
-	"repro/internal/simnet"
-	"repro/internal/tensor"
 )
 
 // ScaleResult is the production-scale rank sweep the sparse simnet
@@ -48,8 +43,7 @@ type ScaleConfig struct {
 	Layers       int
 	LogicalBytes int // gradient payload per allreduce
 	// MaxRealFloats bounds the actually-allocated vector; larger logical
-	// payloads scale the cost model's per-byte terms instead (exact
-	// under the linear alpha-beta model) — what keeps a 1024-rank sweep
+	// payloads go through shrinkPayload — what keeps a 1024-rank sweep
 	// inside CI budgets.
 	MaxRealFloats int
 }
@@ -78,76 +72,21 @@ func scaleConfig(scale Scale) ScaleConfig {
 func RunScale(scale Scale) *ScaleResult {
 	cfg := scaleConfig(scale)
 	res := &ScaleResult{GPUsPerNode: cfg.GPUsPerNode, NodesPerRack: cfg.NodesPerRack}
+	shape := rackedShape{gpusPerNode: cfg.GPUsPerNode, nodesPerRack: cfg.NodesPerRack, layers: cfg.Layers, maxRealFloats: cfg.MaxRealFloats}
 	for _, ranks := range cfg.RankCounts {
 		res.Ranks = append(res.Ranks, ranks)
-		for levels := 0; levels <= 2; levels++ {
-			sec, bytes := measureScale(cfg, ranks, levels)
-			ms, mb := 1e3*sec, float64(bytes)/(1<<20)
-			switch levels {
-			case 0:
-				res.FlatMs = append(res.FlatMs, ms)
-				res.FlatMB = append(res.FlatMB, mb)
-			case 1:
-				res.TwoLvlMs = append(res.TwoLvlMs, ms)
-				res.TwoLvlMB = append(res.TwoLvlMB, mb)
-			default:
-				res.ThreeLvlMs = append(res.ThreeLvlMs, ms)
-				res.ThreeLvlMB = append(res.ThreeLvlMB, mb)
-			}
+		measure := func(levels int) (ms, mb float64) {
+			sec, bytes := rackedAdasum(shape, ranks, cfg.LogicalBytes, levels)
+			return 1e3 * sec, float64(bytes) / (1 << 20)
 		}
+		flatMs, flatMB := measure(0)
+		twoMs, twoMB := measure(1)
+		threeMs, threeMB := measure(2)
+		res.FlatMs, res.FlatMB = append(res.FlatMs, flatMs), append(res.FlatMB, flatMB)
+		res.TwoLvlMs, res.TwoLvlMB = append(res.TwoLvlMs, twoMs), append(res.TwoLvlMB, twoMB)
+		res.ThreeLvlMs, res.ThreeLvlMB = append(res.ThreeLvlMs, threeMs), append(res.ThreeLvlMB, threeMB)
 	}
 	return res
-}
-
-// measureScale returns the simulated seconds and total wire bytes of
-// one reduction at the given rank count with the given number of
-// scatter levels (0 = flat RVH, 1 = node hierarchy, 2 = node+rack).
-func measureScale(cfg ScaleConfig, ranks, levels int) (float64, int64) {
-	realFloats := cfg.LogicalBytes / 4
-	if realFloats < cfg.Layers {
-		realFloats = cfg.Layers
-	}
-	scaleF := 1.0
-	if realFloats > cfg.MaxRealFloats {
-		scaleF = float64(realFloats) / float64(cfg.MaxRealFloats)
-		realFloats = cfg.MaxRealFloats
-	}
-	model := simnet.TCP40Racked(ranks, cfg.NodesPerRack)
-	model.BetaIntra *= scaleF
-	model.BetaInter *= scaleF
-	model.BetaCross *= scaleF
-	model.FlopBeta *= scaleF
-	model.MemCopyBeta *= scaleF
-
-	names := make([]string, cfg.Layers)
-	sizes := make([]int, cfg.Layers)
-	per := realFloats / cfg.Layers
-	for i := range names {
-		names[i] = fmt.Sprintf("l%d", i)
-		sizes[i] = per
-	}
-	layout := tensor.NewLayout(names, sizes)
-
-	w := comm.NewWorld(ranks, model)
-	g := collective.WorldGroup(ranks)
-	sec := comm.MaxClock(w, func(p *comm.Proc) {
-		c := collective.New(p, g, collective.Config{Strategy: collective.StrategyRVH})
-		x := make([]float32, layout.TotalSize())
-		for i := range x {
-			x[i] = float32(p.Rank()%5) + 0.5
-		}
-		switch levels {
-		case 0:
-			c.Adasum(x, layout)
-		case 1:
-			collective.NewHierarchy(c, cfg.GPUsPerNode).Adasum(x, layout)
-		default:
-			collective.NewHierarchy(c, cfg.GPUsPerNode, cfg.NodesPerRack).Adasum(x, layout)
-		}
-	})
-	// Wire bytes are reported at the real (allocated) payload, scaled
-	// back up to the logical payload to match the latency column.
-	return sec, int64(float64(w.WireBytes()) * scaleF)
 }
 
 // Render writes the sweep table.

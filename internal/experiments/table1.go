@@ -41,21 +41,15 @@ func RunTable1(Scale) *Table1Result {
 		StatePerParam:   cm.OptimizerStateBytesPerParamByte,
 		ActivationBytes: 255_000_000, // per-sample activations at seq 128
 	}
-	res := &Table1Result{}
-	for _, parts := range []int{1, 4} {
+	column := func(parts int) Table1Column {
 		mb := mem.MaxMicrobatch(parts)
-		col := Table1Column{
+		return Table1Column{
 			Throughput: cm.ThroughputAt(mb),
 			UpdateSec:  partition.UpdateTime(cm, net, cm.ParamBytes, parts),
 			Microbatch: mb,
 		}
-		if parts == 1 {
-			res.Without = col
-		} else {
-			res.With = col
-		}
 	}
-	return res
+	return &Table1Result{Without: column(1), With: column(4)}
 }
 
 // Render writes Table 1.

@@ -74,10 +74,7 @@ func RunTable2(scale Scale) *Table2Result {
 
 	res := &Table2Result{}
 	for _, local := range []int{16, 1} {
-		stepsPerEpoch := cfg.TrainN / (cfg.Workers * cfg.Micro * local)
-		if stepsPerEpoch == 0 {
-			stepsPerEpoch = 1
-		}
+		stepsPerEpoch := max(1, cfg.TrainN/(cfg.Workers*cfg.Micro*local))
 		base := cfg.LRLocal1
 		if local == 16 {
 			base = cfg.LRLocal16
@@ -124,13 +121,9 @@ func RunTable2(scale Scale) *Table2Result {
 // 16 V100s at microbatch 256, one allreduce of the ResNet-50 gradient
 // every `local` steps over 40 Gb TCP.
 func table2MinutesPerEpoch(cfg Table2Config, local int) float64 {
-	const imagenet = 1_281_167
 	cm := simnet.ResNet50TF()
-	steps := imagenet / (cfg.RealWorkers * cfg.RealMicro)
-	compute := cm.StepComputeTime(cfg.RealMicro)
-	comm := allreduceSeconds(simnet.TCP40, cfg.RealWorkers, 4, cm.ParamBytes, "hier-adasum")
-	perStep := compute + comm/float64(local)
-	return float64(steps) * perStep / 60
+	comm := allreduceSeconds(simnet.TCP40, cfg.RealWorkers, 4, cm.ParamBytes, true)
+	return imagenetEpochMinutes(cm, cfg.RealWorkers, cfg.RealMicro, comm/float64(local))
 }
 
 // Render writes Table 2.

@@ -90,10 +90,11 @@ func RunTable3(scale Scale) *Table3Result {
 	// makes the proxy far more tolerant of LR scaling than a real deep
 	// network, so the break factor (calibrated empirically) is larger
 	// than the paper's 4x-beyond-16K — the qualitative gate ("Adam does
-	// not converge at 64K") is what is being reproduced; see
-	// EXPERIMENTS.md. Baseline-LAMB uses the identical schedule as
-	// Adasum-LAMB: the paper's comparison is literally "LAMB when just
-	// averaging gradients" vs LAMB with Adasum, same hyperparameters.
+	// not converge at 64K") is what is being reproduced, and
+	// TestTable3ShapeQuick asserts it. Baseline-LAMB uses the identical
+	// schedule as Adasum-LAMB: the paper's comparison is literally "LAMB
+	// when just averaging gradients" vs LAMB with Adasum, same
+	// hyperparameters.
 	variants := []variant{
 		{"Baseline-Adam", func() optim.Optimizer { return optim.NewAdam() },
 			trainer.ReduceSum, trainer.PreOptimizer, cfg.BaseAdamLR, 192, cfg.Micro},
@@ -131,10 +132,7 @@ func table3Phase(cfg Table3Config, opt optim.Optimizer, red trainer.Reduction,
 	factory func() *nn.Network, train, test *data.Dataset,
 	target float64, budget int, initParams []float32) *trainer.Result {
 
-	stepsPerEpoch := train.N / (cfg.Workers * micro)
-	if stepsPerEpoch == 0 {
-		stepsPerEpoch = 1
-	}
+	stepsPerEpoch := max(1, train.N/(cfg.Workers*micro))
 	total := budget * stepsPerEpoch
 	sched := optim.Schedule(optim.PolynomialWarmup{
 		Base: lr, WarmupSteps: total / 10, TotalSteps: total, Power: 1,

@@ -62,18 +62,11 @@ func RunTable4(scale Scale) *Table4Result {
 	ph2 := simnet.BERTLargePhase2()
 
 	iterTime := func(cm simnet.ComputeModel, gpus, effBatch int, adasum bool) float64 {
-		perGPU := effBatch / gpus
-		if perGPU < 1 {
-			perGPU = 1
-		}
+		perGPU := max(1, effBatch/gpus)
 		// Gradient accumulation: microbatches are memory-bound; compute
 		// time is perGPU samples at saturated throughput.
 		compute := float64(perGPU) / cm.ThroughputAt(perGPU)
-		kind := "sum"
-		if adasum {
-			kind = "hier-adasum"
-		}
-		comm := allreduceSeconds(simnet.DGX2, gpus, 16, cm.ParamBytes, kind)
+		comm := allreduceSeconds(simnet.DGX2, gpus, 16, cm.ParamBytes, adasum)
 		return compute + comm
 	}
 

@@ -3,11 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-
-	"repro/internal/collective"
-	"repro/internal/comm"
-	"repro/internal/simnet"
-	"repro/internal/tensor"
 )
 
 // TopologyResult is the multi-level topology sweep enabled by the
@@ -39,8 +34,7 @@ type TopologyConfig struct {
 	MinExp       int // smallest payload, 2^MinExp bytes
 	MaxExp       int
 	// MaxRealFloats bounds the actually-allocated vector; larger logical
-	// payloads scale the cost model's per-byte terms instead (exact
-	// under the linear alpha-beta model).
+	// payloads go through shrinkPayload.
 	MaxRealFloats int
 }
 
@@ -68,64 +62,19 @@ func RunTopology(scale Scale) *TopologyResult {
 		Ranks: ranks, GPUsPerNode: cfg.GPUsPerNode,
 		NodesPerRack: cfg.NodesPerRack, Racks: cfg.Racks,
 	}
+	shape := rackedShape{gpusPerNode: cfg.GPUsPerNode, nodesPerRack: cfg.NodesPerRack, layers: cfg.Layers, maxRealFloats: cfg.MaxRealFloats}
 	for exp := cfg.MinExp; exp <= cfg.MaxExp; exp += 2 {
 		logicalBytes := 1 << exp
 		res.Bytes = append(res.Bytes, logicalBytes)
-		res.FlatMs = append(res.FlatMs, 1e3*measureTopology(cfg, ranks, logicalBytes, 0))
-		res.TwoLvlMs = append(res.TwoLvlMs, 1e3*measureTopology(cfg, ranks, logicalBytes, 1))
-		res.ThreeLvlMs = append(res.ThreeLvlMs, 1e3*measureTopology(cfg, ranks, logicalBytes, 2))
+		ms := func(levels int) float64 {
+			sec, _ := rackedAdasum(shape, ranks, logicalBytes, levels)
+			return 1e3 * sec
+		}
+		res.FlatMs = append(res.FlatMs, ms(0))
+		res.TwoLvlMs = append(res.TwoLvlMs, ms(1))
+		res.ThreeLvlMs = append(res.ThreeLvlMs, ms(2))
 	}
 	return res
-}
-
-// measureTopology returns the simulated seconds of one reduction of
-// logicalBytes with the given number of scatter levels (0 = flat RVH,
-// 1 = node hierarchy, 2 = node+rack hierarchy).
-func measureTopology(cfg TopologyConfig, ranks, logicalBytes, levels int) float64 {
-	realFloats := logicalBytes / 4
-	if realFloats < cfg.Layers {
-		realFloats = cfg.Layers
-	}
-	scaleF := 1.0
-	if realFloats > cfg.MaxRealFloats {
-		scaleF = float64(realFloats) / float64(cfg.MaxRealFloats)
-		realFloats = cfg.MaxRealFloats
-	}
-	model := simnet.TCP40Racked(ranks, cfg.NodesPerRack)
-	model.BetaIntra *= scaleF
-	model.BetaInter *= scaleF
-	model.BetaCross *= scaleF
-	model.FlopBeta *= scaleF
-	model.MemCopyBeta *= scaleF
-
-	// A multi-layer layout gives the layer-aligned reduce-scatter real
-	// boundaries to split at.
-	names := make([]string, cfg.Layers)
-	sizes := make([]int, cfg.Layers)
-	per := realFloats / cfg.Layers
-	for i := range names {
-		names[i] = fmt.Sprintf("l%d", i)
-		sizes[i] = per
-	}
-	layout := tensor.NewLayout(names, sizes)
-
-	w := comm.NewWorld(ranks, model)
-	g := collective.WorldGroup(ranks)
-	return comm.MaxClock(w, func(p *comm.Proc) {
-		c := collective.New(p, g, collective.Config{Strategy: collective.StrategyRVH})
-		x := make([]float32, layout.TotalSize())
-		for i := range x {
-			x[i] = float32(p.Rank()%5) + 0.5
-		}
-		switch levels {
-		case 0:
-			c.Adasum(x, layout)
-		case 1:
-			collective.NewHierarchy(c, cfg.GPUsPerNode).Adasum(x, layout)
-		default:
-			collective.NewHierarchy(c, cfg.GPUsPerNode, cfg.NodesPerRack).Adasum(x, layout)
-		}
-	})
 }
 
 // Render writes the sweep table.

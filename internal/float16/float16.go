@@ -92,7 +92,8 @@ func init() {
 
 // FromFloat32 converts a float32 to the nearest binary16, with
 // round-to-nearest-even. Values beyond ±65504 become infinities. It is
-// the table-driven form of fromFloat32Ref and bit-identical to it.
+// the table-driven form of the branch-tree fromFloat32Ref in
+// float16_test.go and bit-identical to it.
 //
 //adasum:noalloc
 func FromFloat32(f float32) Bits {
@@ -122,54 +123,6 @@ func FromFloat32(f float32) Bits {
 	// bits, and the 16-bit add cannot wrap: the largest possible result
 	// is infinity's bit pattern.
 	return Bits(enc) + Bits((m+(m>>shift)&1+1<<(shift-1)-1)>>shift)
-}
-
-// fromFloat32Ref is the branch-tree reference conversion the tables are
-// validated against.
-func fromFloat32Ref(f float32) Bits {
-	b := math.Float32bits(f)
-	sign := uint16(b>>16) & signMask
-	exp := int32(b>>23) & 0xFF
-	frac := b & 0x7FFFFF
-
-	switch {
-	case exp == 0xFF: // Inf or NaN
-		if frac != 0 {
-			// Preserve a quiet NaN with some payload bits.
-			return Bits(sign | expMask | 0x0200 | uint16(frac>>13))
-		}
-		return Bits(sign | expMask)
-	case exp == 0 && frac == 0: // signed zero
-		return Bits(sign)
-	}
-
-	// Unbias, rebias for half.
-	e := exp - 127 + expBias
-	switch {
-	case e >= maxExp: // overflow -> inf
-		return Bits(sign | expMask)
-	case e >= 1: // normal half
-		half := (uint32(e) << 10) | (frac >> 13)
-		// Round to nearest even on the 13 truncated bits.
-		round := frac & 0x1FFF
-		if round > 0x1000 || (round == 0x1000 && half&1 == 1) {
-			half++ // may carry into exponent; that is correct rounding
-		}
-		return Bits(sign | uint16(half))
-	case e >= -10: // subnormal half
-		// Add the implicit leading 1 and shift right by (1 - e) extra.
-		frac |= 0x800000
-		shift := uint32(14 - e) // total shift from 23-bit frac to 10-bit
-		half := frac >> shift
-		rem := frac & ((1 << shift) - 1)
-		halfway := uint32(1) << (shift - 1)
-		if rem > halfway || (rem == halfway && half&1 == 1) {
-			half++
-		}
-		return Bits(sign | uint16(half))
-	default: // underflow -> signed zero
-		return Bits(sign)
-	}
 }
 
 // ToFloat32 converts a binary16 bit pattern to float32 exactly (every

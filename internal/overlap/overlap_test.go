@@ -7,6 +7,7 @@ import (
 	"repro/internal/adasum"
 	"repro/internal/collective"
 	"repro/internal/comm"
+	"repro/internal/compress"
 	"repro/internal/simnet"
 	"repro/internal/tensor"
 )
@@ -187,6 +188,69 @@ func TestEngineStepIsRepeatable(t *testing.T) {
 			if !tensor.Equal(results[r], want, 0) {
 				t.Fatalf("step %d rank %d: repeated engine step diverged", s, r)
 			}
+		}
+	}
+}
+
+// TestEngineStepSteadyStateAllocs is the 0-alloc ratchet of the
+// //adasum:noalloc step path: 8 ranks, 16 layers, four fused buckets
+// launched asynchronously per step, so the packer, the channel planes,
+// the per-bucket RVH collectives and — on the compressed rows — the
+// codecs and the decide-encode-ship loop are all inside the figure.
+// testing.AllocsPerRun counts the whole process's mallocs, so one
+// World.Run per step measures every rank at once.
+func TestEngineStepSteadyStateAllocs(t *testing.T) {
+	const ranks, layers, perLayer = 8, 16, 1 << 13
+	names := make([]string, layers)
+	sizes := make([]int, layers)
+	for i := range names {
+		names[i] = "layer"
+		sizes[i] = perLayer
+	}
+	layout := tensor.NewLayout(names, sizes)
+	inputs := randGrads(ranks, layout, 400)
+
+	for _, row := range []struct {
+		name  string
+		comp  compress.Compression
+		model *simnet.Model
+		// warm is how many steps mint everything the steady state reuses.
+		warm int
+	}{
+		{"plain", nil, nil, 1},
+		{"fp16", compress.FP16(), nil, 1},
+		// The policy meters real transfer charges, hence the cost model.
+		// Its warm-up must outlast the transient in which the error
+		// controller walks its bounded frac ladder and each newly reached
+		// rung mints its codec cache entry, error-feedback sites, encode
+		// scratch and pool size classes exactly once: on this shape the
+		// last allocation falls on step 28.
+		{"adaptive", compress.Adaptive(), simnet.TCP40(ranks), 48},
+	} {
+		w := comm.NewWorld(ranks, row.model)
+		engines := make([]*Engine, ranks)
+		xs := make([][]float32, ranks)
+		for r := range engines {
+			engines[r] = New(Options{
+				Group:       collective.WorldGroup(ranks),
+				Layout:      layout,
+				FusionBytes: 4 * perLayer * 4, // four layers per bucket
+				Strategy:    collective.StrategyRVH,
+				Overlap:     true,
+				Compression: row.comp,
+			})
+			xs[r] = make([]float32, layout.TotalSize())
+		}
+		step := func(p *comm.Proc) {
+			x := xs[p.Rank()]
+			copy(x, inputs[p.Rank()])
+			engines[p.Rank()].Step(p, x)
+		}
+		for i := 0; i < row.warm; i++ {
+			w.Run(step)
+		}
+		if a := testing.AllocsPerRun(10, func() { w.Run(step) }); a != 0 {
+			t.Errorf("%s: %v allocs per step across %d ranks, want 0", row.name, a, ranks)
 		}
 	}
 }

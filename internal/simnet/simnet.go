@@ -123,7 +123,9 @@ func (m *Model) String() string {
 // Presets. Constants are calibrated so that the absolute latencies land
 // in the ranges the paper reports (Figure 4: ~10 ms floors, hundreds of
 // ms at 2^28 bytes on 64 GPUs; Table 4: 12.2K samples/s baseline
-// throughput at 64 GPUs) — see EXPERIMENTS.md for the calibration notes.
+// throughput at 64 GPUs); internal/experiments' TestFig4ShapeQuick and
+// TestTable4ShapeQuick hold them to those bands, and its
+// testdata/quick.golden records the resulting tables.
 
 // AzureNC24rsV3 models the ResNet-50 cluster of §5.1: 4 PCIe V100s per
 // node, 100 Gb/s Infiniband between nodes.

@@ -283,6 +283,8 @@ func TestLaneKernelsZeroAllocs(t *testing.T) {
 	dy, scratch := make([]float32, batch*out), make([]float32, DenseScratchLen(in, out))
 	c := adamCoefAt(1, 1e-3, 0.01)
 	for name, call := range map[string]func(){
+		"Dot":            func() { Dot(x, y) },
+		"DotNorms":       func() { DotNorms(x, y) },
 		"Axpy":           func() { Axpy(0.5, x, y) },
 		"Sub":            func() { Sub(z, x, y) },
 		"ScaledCombine":  func() { ScaledCombine(z, 0.5, x, 0.25, y) },
