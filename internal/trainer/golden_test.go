@@ -224,3 +224,36 @@ func TestGoldenKernelRuns(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) { checkGolden(t, tc.cfg, tc.want) })
 	}
 }
+
+// TestGoldenCodecRuns pins the two fixed quantizing codecs end to end on
+// the train_comm shape, by the same recipe: fp16 on every hop (the
+// benchmark's train_fp16) and block-linear int8. The values were recorded
+// on the commit before the F16C half-precision kernels joined the table
+// conversions (PR 21's tree) and read the same there under default, noasm
+// and GOARCH=386; a codec kernel that moves one wire word moves them. The
+// int8 row guards the quantizer (math.Round half-away-from-zero on a
+// float32 quotient) before anyone gives it a kernel.
+func TestGoldenCodecRuns(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		codec compress.Codec
+		want  goldenDigest
+	}{
+		{"fp16", compress.FP16(), goldenDigest{
+			crc: 4096772702, sim: 0.17041450514285775, acc: 0.25,
+			wire: 110077440, resumeWire: 59625280,
+		}},
+		{"int8", compress.Int8(0), goldenDigest{
+			crc: 1351196854, sim: 0.16868181714285732, acc: 0.234375,
+			wire: 55340544, resumeWire: 29976128,
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			checkGolden(t, func() Config {
+				cfg := goldenCommCfg()
+				cfg.Compression = tc.codec
+				return cfg
+			}, tc.want)
+		})
+	}
+}
