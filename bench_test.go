@@ -9,6 +9,7 @@ import (
 	"repro/internal/collective"
 	"repro/internal/comm"
 	"repro/internal/compress"
+	"repro/internal/float16"
 	"repro/internal/nn"
 	"repro/internal/optim"
 	"repro/internal/simnet"
@@ -179,6 +180,23 @@ func BenchmarkTopKEncodeEF(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkFP16Wire is one hop of the fp16 wire codec over a fusion
+// bucket of 32 768 gradient-like values: PackInto on the sender, then
+// UnpackInto on the receiver (the F16C kernels on amd64, the table twins
+// under -tags noasm). 0 allocs/op.
+func BenchmarkFP16Wire(b *testing.B) {
+	const n = 32 << 10
+	src, dst := randVec(n, 7), make([]float32, n)
+	wire := make([]float32, n/2)
+	b.SetBytes(4 * n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		float16.PackInto(wire, src)
+		float16.UnpackInto(dst, wire)
 	}
 }
 

@@ -52,7 +52,10 @@
 // bit-exact AVX lane kernels behind the rest of the per-rank arithmetic
 // (tensor.Axpy/Sub/ScaledCombine, DenseForward under nn.Dense,
 // AdamUpdate/MomentumUpdate under optim — each one assembly body beside
-// the pure-Go twin that defines it; "Lane kernels"), the
+// the pure-Go twin that defines it; "Lane kernels"), the F16C
+// half-precision kernels under the fp16 wire codec
+// (float16.EncodeInto/DecodeInto/PackInto/UnpackInto, same contract,
+// the table conversions as twins; "Half-precision kernels"), the
 // workspace-owning adasum.Reducer, the pooled communication buffers, the
 // in-place recursive-vector-halving collectives, the sparse
 // event-driven fabric and its parallel-rank determinism argument

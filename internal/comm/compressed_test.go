@@ -1,7 +1,9 @@
 package comm
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/compress"
@@ -60,6 +62,29 @@ func TestSendCompressedChargesCompressedBytes(t *testing.T) {
 	// The wire meter counts compressed bytes only.
 	if w.WireBytes() != int64(encWords)*4 {
 		t.Fatalf("wire bytes %d, want %d", w.WireBytes(), encWords*4)
+	}
+}
+
+// TestRecvCompressedShortPayloadPanics: a payload shorter than the
+// destination needs must fail the receiving rank in RecvCompressed's own
+// length check, before the fp16 decode kernel reads past its end.
+func TestRecvCompressedShortPayloadPanics(t *testing.T) {
+	codec := compress.FP16()
+	w := NewWorld(2, nil)
+	err := w.RunErr(func(p *Proc) {
+		if p.Rank() == 0 {
+			st := compress.NewStream(codec)
+			st.Begin()
+			p.SendCompressed(1, make([]float32, 64), st)
+		} else {
+			p.RecvCompressed(0, codec, make([]float32, 128))
+		}
+	})
+	if err == nil || len(err.Failures) != 1 || err.Failures[0].Rank != 1 {
+		t.Fatalf("want rank 1 alone to fail, got %v", err)
+	}
+	if msg := fmt.Sprint(err.Failures[0].Err); !strings.Contains(msg, "RecvCompressed payload 32 words, want 64") {
+		t.Fatalf("rank 1 failed with %q, want the RecvCompressed length panic", msg)
 	}
 }
 

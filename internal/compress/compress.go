@@ -146,30 +146,20 @@ func (fp16Codec) EncodedLen(n int) int { return (n + 1) / 2 }
 func (fp16Codec) Lossy() bool          { return true }
 func (fp16Codec) ErrorFeedback() bool  { return false }
 
+// Encode keeps its own length check ahead of the bulk call: the kernel
+// behind PackInto is handed raw pointers, so the check is the
+// memory-safety boundary, and it names the codec in the panic.
+//
 //adasum:noalloc
 func (fp16Codec) Encode(dst, src []float32, _ *Workspace) {
 	checkLen("fp16 encode", len(dst), (len(src)+1)/2)
-	for w := 0; w < len(src)/2; w++ {
-		lo := uint32(float16.FromFloat32(src[2*w]))
-		hi := uint32(float16.FromFloat32(src[2*w+1]))
-		dst[w] = math.Float32frombits(lo | hi<<16)
-	}
-	if len(src)%2 == 1 {
-		dst[len(dst)-1] = math.Float32frombits(uint32(float16.FromFloat32(src[len(src)-1])))
-	}
+	float16.PackInto(dst, src)
 }
 
 //adasum:noalloc
 func (fp16Codec) Decode(dst, src []float32) {
 	checkLen("fp16 decode", len(src), (len(dst)+1)/2)
-	for w := 0; w < len(dst)/2; w++ {
-		bits := math.Float32bits(src[w])
-		dst[2*w] = float16.ToFloat32(float16.Bits(bits))
-		dst[2*w+1] = float16.ToFloat32(float16.Bits(bits >> 16))
-	}
-	if len(dst)%2 == 1 {
-		dst[len(dst)-1] = float16.ToFloat32(float16.Bits(math.Float32bits(src[len(src)-1])))
-	}
+	float16.UnpackInto(dst, src)
 }
 
 // ---------------------------------------------------------------- Int8

@@ -239,6 +239,42 @@ func TestStreamSiteLengthChangePanics(t *testing.T) {
 	st.Encode(make([]float32, c.EncodedLen(6)), make([]float32, 6))
 }
 
+// TestFP16WireLengthMismatchPanics: the fp16 codec hands its slices to
+// kernels that take raw pointers, so a wrong-sized payload must panic in
+// Go — in the codec's own check, or in DecodeFromWire for a
+// self-describing payload — before anything is read or written.
+func TestFP16WireLengthMismatchPanics(t *testing.T) {
+	f := func(n int) []float32 { return make([]float32, n) }
+	header := func(payload int) []float32 {
+		wire := f(1 + payload)
+		wire[0] = HeaderWord(FP16())
+		return wire
+	}
+	ws := &Workspace{}
+	for name, call := range map[string]func(){
+		"Encode short dst":           func() { FP16().Encode(f(31), f(64), ws) },
+		"Encode long dst":            func() { FP16().Encode(f(33), f(64), ws) },
+		"Encode odd, short dst":      func() { FP16().Encode(f(32), f(65), ws) },
+		"Encode nil dst":             func() { FP16().Encode(nil, f(64), ws) },
+		"Decode short payload":       func() { FP16().Decode(f(64), f(31)) },
+		"Decode long payload":        func() { FP16().Decode(f(64), f(33)) },
+		"Decode odd, short payload":  func() { FP16().Decode(f(65), f(32)) },
+		"Decode nil payload":         func() { FP16().Decode(f(64), nil) },
+		"DecodeFromWire short":       func() { DecodeFromWire(f(64), header(31)) },
+		"DecodeFromWire long":        func() { DecodeFromWire(f(64), header(33)) },
+		"DecodeFromWire header only": func() { DecodeFromWire(f(64), header(0)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			call()
+		}()
+	}
+}
+
 // TestNonFiniteGradientsPropagateLoudly: a diverging run's Inf/NaN must
 // not be silently quantized away. Int8 poisons the containing block to
 // NaN; TopK always selects non-finite entries (their sign-stripped bit

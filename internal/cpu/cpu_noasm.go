@@ -1,0 +1,6 @@
+//go:build !amd64 || noasm
+
+package cpu
+
+// Without the assembly there is nothing to dispatch to.
+const HasAVXFMA, HasF16C = false, false

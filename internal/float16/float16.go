@@ -1,9 +1,21 @@
-// Package float16 implements IEEE-754 binary16 ("half precision") in
-// software. The paper's Adasum implementation supports fp16 gradients for
-// compute and communication efficiency (§4.4.1); since Go has no native
-// half type, values are stored as uint16 bit patterns and converted
-// to/from float32 for arithmetic. Conversions implement round-to-nearest-
-// even, subnormals, infinities and NaN propagation.
+// Package float16 implements IEEE-754 binary16 ("half precision"). The
+// paper's Adasum implementation supports fp16 gradients for compute and
+// communication efficiency (§4.4.1); Go has no native half type, so
+// values are stored as uint16 bit patterns and converted to and from
+// float32 for arithmetic. Conversions implement round-to-nearest-even,
+// subnormals, infinities and NaN propagation.
+//
+// There are two implementations of the conversion and they agree on
+// every input. The table-driven FromFloat32/ToFloat32 in this file are
+// the definition: they serve single values, every build without the
+// assembly, and the tail of every bulk call. The bulk forms (bulk.go:
+// EncodeInto/DecodeInto over []Bits, PackInto/UnpackInto over fp16 wire
+// words) run VCVTPS2PH/VCVTPH2PS on an amd64 CPU with F16C, eight
+// elements per instruction. The hardware conversion equals the tables on
+// all 2^32 float32 patterns and all 2^16 halves — NaN payloads,
+// signalling NaNs and rounding ties included — and the test suite
+// re-proves that on the machine it runs on (TestEncodeKernelExhaustive,
+// TestDecodeKernelExhaustive), so which one ran is not observable.
 package float16
 
 import "math"
@@ -25,9 +37,7 @@ const (
 	MinSubnormal = 5.9604644775390625e-08
 )
 
-// Conversion tables. Software half precision is the hot path of the
-// compressed-communication subsystem (every fp16 wire hop encodes and
-// decodes full gradient payloads), so both directions are table-driven:
+// Conversion tables. Both scalar directions are table-driven:
 //
 //   - encoding indexes a 512-entry table by the float32's sign+exponent
 //     byte, replacing the per-value branch tree of the reference
@@ -42,14 +52,14 @@ const (
 // 23 the implicit-bit addend for subnormal halves, positioned so it
 // adds onto the 23-bit float32 fraction directly. One packed entry
 // instead of three parallel tables keeps FromFloat32 to a single load
-// and, critically, under the compiler's inlining budget: the bulk
-// encode loops (EncodeInto, the fp16 wire codec) inline the conversion,
-// which is worth ~30% of the fp16 step.
+// and under the compiler's inlining budget, so the twins' loops and
+// adasum.CombineF16 inline the conversion (DESIGN.md "Half-precision
+// kernels" has the per-element cost of both paths).
 //
-// The tables are built at init from the reference conversions below, so
-// they are exact by construction; the test suite additionally pins the
-// fast paths to the references exhaustively (decode) and across the
-// exponent boundaries (encode).
+// The tables are built at init from the reference conversions, so they
+// are exact by construction; the test suite additionally pins the fast
+// paths to the references exhaustively (decode) and across the exponent
+// boundaries (encode).
 var (
 	encTable [512]uint32
 	decTable [1 << 16]float32
@@ -118,10 +128,9 @@ func FromFloat32(f float32) Bits {
 	// at shift 31 both the mantissa contribution and the bias vanish
 	// (see the constant's comment), leaving the tabled bits — signed
 	// zero or infinity — untouched. Everything is a single expression to
-	// keep the function within the inlining budget; the bulk encode
-	// loops depend on it. The Bits conversion truncates enc to its base
-	// bits, and the 16-bit add cannot wrap: the largest possible result
-	// is infinity's bit pattern.
+	// keep the function within the inlining budget. The Bits conversion
+	// truncates enc to its base bits, and the 16-bit add cannot wrap: the
+	// largest possible result is infinity's bit pattern.
 	return Bits(enc) + Bits((m+(m>>shift)&1+1<<(shift-1)-1)>>shift)
 }
 
@@ -168,48 +177,6 @@ func (h Bits) IsInf() bool { return h&expMask == expMask && h&fracMask == 0 }
 
 // IsFinite reports whether h is neither NaN nor infinite.
 func (h Bits) IsFinite() bool { return h&expMask != expMask }
-
-// Encode converts a float32 slice into a freshly allocated half slice.
-func Encode(src []float32) []Bits {
-	dst := make([]Bits, len(src))
-	for i, v := range src {
-		dst[i] = FromFloat32(v)
-	}
-	return dst
-}
-
-// EncodeInto converts src into dst, which must have the same length.
-//
-//adasum:noalloc
-func EncodeInto(dst []Bits, src []float32) {
-	if len(dst) != len(src) {
-		panic("float16: EncodeInto length mismatch")
-	}
-	for i, v := range src {
-		dst[i] = FromFloat32(v)
-	}
-}
-
-// Decode converts a half slice into a freshly allocated float32 slice.
-func Decode(src []Bits) []float32 {
-	dst := make([]float32, len(src))
-	for i, v := range src {
-		dst[i] = ToFloat32(v)
-	}
-	return dst
-}
-
-// DecodeInto converts src into dst, which must have the same length.
-//
-//adasum:noalloc
-func DecodeInto(dst []float32, src []Bits) {
-	if len(dst) != len(src) {
-		panic("float16: DecodeInto length mismatch")
-	}
-	for i, v := range src {
-		dst[i] = ToFloat32(v)
-	}
-}
 
 // AnyNonFinite reports whether the slice contains a NaN or infinity,
 // signalling fp16 overflow to the dynamic loss scaler.

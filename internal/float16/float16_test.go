@@ -231,6 +231,16 @@ func TestDecodeTableExhaustive(t *testing.T) {
 	}
 }
 
+// edgeFracs are the float32 mantissa patterns that exercise the rounding
+// fixups in every exponent class: all-zeros, all-ones, exact halfway,
+// halfway±1.
+var edgeFracs = []uint32{
+	0, 1, 0x7FFFFF, 0x400000,
+	0x0FFF, 0x1000, 0x1001, 0x2000, 0x3000, // 13-bit rounding edges
+	0x1FFF, 0x3FFF, 0x7FFF, 0xFFFF, // subnormal shift edges
+	0x555555, 0x2AAAAA,
+}
+
 // TestEncodeTableMatchesReference pins the table-driven FromFloat32 to
 // the branch-tree reference across every exponent (with mantissa
 // patterns that exercise the rounding fixups: all-zeros, all-ones,
@@ -245,12 +255,7 @@ func TestEncodeTableMatchesReference(t *testing.T) {
 	for s := uint32(0); s < 2; s++ {
 		for exp := uint32(0); exp < 256; exp++ {
 			base := s<<31 | exp<<23
-			for _, frac := range []uint32{
-				0, 1, 0x7FFFFF, 0x400000,
-				0x0FFF, 0x1000, 0x1001, 0x2000, 0x3000, // 13-bit rounding edges
-				0x1FFF, 0x3FFF, 0x7FFF, 0xFFFF, // subnormal shift edges
-				0x555555, 0x2AAAAA,
-			} {
+			for _, frac := range edgeFracs {
 				check(base | frac)
 			}
 		}

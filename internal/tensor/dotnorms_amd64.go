@@ -2,11 +2,13 @@
 
 package tensor
 
+import "repro/internal/cpu"
+
 // The fused DotNorms reduction has a vectorized fast path on amd64: an
 // AVX+FMA assembly kernel processing eight elements per iteration with
-// four-lane float64 accumulators. Feature detection is done once at init
-// via CPUID/XGETBV so the package has no dependency on x/sys; machines
-// without AVX+FMA (or non-amd64 builds) use the portable 4-wide Go loop.
+// four-lane float64 accumulators. Machines without AVX+FMA (cpu.HasAVXFMA,
+// detected once at init) and non-amd64 builds use the portable 4-wide Go
+// loop.
 //
 // Accumulation discipline: every product is float64(a[i]) * float64(b[i]),
 // which is exact (24-bit mantissas), so FMA and mul+add produce identical
@@ -15,45 +17,15 @@ package tensor
 // partial sums whose results agree to ~1e-16 relative (tested to 1e-12).
 
 // Implemented in dotnorms_amd64.s.
-func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
-
-// Implemented in dotnorms_amd64.s.
-func xgetbv0() (eax, edx uint32)
-
-// Implemented in dotnorms_amd64.s.
 //
 //go:noescape
 func dotNormsAVX(a, b *float32, n int, out *[12]float64)
-
-var hasAVXFMA = detectAVXFMA()
-
-// detectAVXFMA reports whether the CPU and OS support the ymm FMA kernel:
-// CPUID.1:ECX must advertise FMA, AVX and OSXSAVE, and XCR0 must show the
-// OS saves XMM+YMM state.
-func detectAVXFMA() bool {
-	maxID, _, _, _ := cpuidex(0, 0)
-	if maxID < 1 {
-		return false
-	}
-	const (
-		fmaBit     = 1 << 12
-		osxsaveBit = 1 << 27
-		avxBit     = 1 << 28
-		want       = fmaBit | osxsaveBit | avxBit
-	)
-	_, _, ecx, _ := cpuidex(1, 0)
-	if ecx&want != want {
-		return false
-	}
-	xcr0, _ := xgetbv0()
-	return xcr0&0x6 == 0x6 // XMM and YMM state enabled
-}
 
 //adasum:noalloc
 func dotNorms(a, b []float32) (dot, na, nb float64) {
 	n := len(a)
 	bulk := n &^ 7
-	if !hasAVXFMA || bulk == 0 {
+	if !cpu.HasAVXFMA || bulk == 0 {
 		return dotNormsGeneric(a, b)
 	}
 	var lanes [12]float64

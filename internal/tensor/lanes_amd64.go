@@ -2,8 +2,10 @@
 
 package tensor
 
+import "repro/internal/cpu"
+
 // Dispatch for the lane kernels (lanes.go): on a CPU with AVX — the
-// hasAVXFMA flag dotNorms already uses — each function hands the
+// cpu.HasAVXFMA flag dotNorms already uses — each function hands the
 // assembly the largest prefix that is a whole number of vectors and runs
 // the pure-Go twin on the tail; elsewhere the twin runs alone. The
 // exported callers have checked that all slices of a call are equally
@@ -46,7 +48,7 @@ func momentumAVX(pp, gg, vv *float32, n int, mu, wd, lr float32)
 
 //adasum:noalloc
 func axpy(alpha float32, x, y []float32) {
-	if n := len(x) &^ 7; hasAVXFMA && n > 0 {
+	if n := len(x) &^ 7; cpu.HasAVXFMA && n > 0 {
 		_ = y[n-1]
 		axpyAVX(&x[0], &y[0], n, alpha)
 		if n == len(x) {
@@ -59,7 +61,7 @@ func axpy(alpha float32, x, y []float32) {
 
 //adasum:noalloc
 func sub(dst, a, b []float32) {
-	if n := len(dst) &^ 7; hasAVXFMA && n > 0 {
+	if n := len(dst) &^ 7; cpu.HasAVXFMA && n > 0 {
 		_, _ = a[n-1], b[n-1]
 		subAVX(&dst[0], &a[0], &b[0], n)
 		dst, a, b = dst[n:], a[n:], b[n:]
@@ -69,7 +71,7 @@ func sub(dst, a, b []float32) {
 
 //adasum:noalloc
 func scaledCombine(dst []float32, ca float32, a []float32, cb float32, b []float32) {
-	if n := len(dst) &^ 7; hasAVXFMA && n > 0 {
+	if n := len(dst) &^ 7; cpu.HasAVXFMA && n > 0 {
 		_, _ = a[n-1], b[n-1]
 		scaledCombineAVX(&dst[0], &a[0], &b[0], n, ca, cb)
 		dst, a, b = dst[n:], a[n:], b[n:]
@@ -94,7 +96,7 @@ func DenseScratchLen(in, out int) int { return (in + out) * denseLanes }
 
 //adasum:noalloc
 func denseForward(y, x, w, b []float32, batch, in, out int, scratch []float32) {
-	if !hasAVXFMA || batch < denseMinBatch || len(scratch) < DenseScratchLen(in, out) {
+	if !cpu.HasAVXFMA || batch < denseMinBatch || len(scratch) < DenseScratchLen(in, out) {
 		denseForwardGeneric(y, x, w, b, batch, in, out)
 		return
 	}
@@ -139,7 +141,7 @@ func denseForwardTiled(y, x, w, b []float32, batch, in, out int, scratch []float
 
 //adasum:noalloc
 func adamUpdate(p, g, m, v []float32, c *AdamCoef) {
-	if n := len(p) &^ 3; hasAVXFMA && n > 0 {
+	if n := len(p) &^ 3; cpu.HasAVXFMA && n > 0 {
 		_, _, _ = g[n-1], m[n-1], v[n-1]
 		adamAVX(&p[0], &g[0], &m[0], &v[0], n, c)
 		p, g, m, v = p[n:], g[n:], m[n:], v[n:]
@@ -149,7 +151,7 @@ func adamUpdate(p, g, m, v []float32, c *AdamCoef) {
 
 //adasum:noalloc
 func momentumUpdate(p, g, v []float32, mu, wd, lr float32) {
-	if n := len(p) &^ 7; hasAVXFMA && n > 0 {
+	if n := len(p) &^ 7; cpu.HasAVXFMA && n > 0 {
 		_, _ = g[n-1], v[n-1]
 		momentumAVX(&p[0], &g[0], &v[0], n, mu, wd, lr)
 		p, g, v = p[n:], g[n:], v[n:]

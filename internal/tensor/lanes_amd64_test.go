@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"repro/internal/cpu"
 )
 
 // BenchmarkDenseCrossover is the evidence for denseMinBatch: the scalar
@@ -14,7 +16,7 @@ import (
 // train_compute's 128x128 at batch 16). The tiled path must win from
 // denseMinBatch up and lose below it.
 func BenchmarkDenseCrossover(b *testing.B) {
-	if !hasAVXFMA {
+	if !cpu.HasAVXFMA {
 		b.Skip("no AVX")
 	}
 	rng := rand.New(rand.NewSource(1))
