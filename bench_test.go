@@ -202,9 +202,10 @@ func BenchmarkFP16Wire(b *testing.B) {
 
 // Micro-benchmarks of the lane kernels (internal/tensor/lanes.go) at the
 // shapes the adasum-bench workloads run them: the BERT proxy's 128x128
-// encoder layers at microbatch 16 (train_compute), 4 (serve_mix's batch;
-// that workload's own layers are smaller) and 1 (train_comm, the scalar
-// path), the optimizers over a model-sized vector, and the element-wise
+// encoder layers at microbatch 16 (train_compute, samples on the lanes),
+// 4 (serve_mix's batch; that workload's own layers are smaller) and 1
+// (train_comm; both outputs on the lanes), the optimizers over a
+// model-sized vector, and the element-wise
 // family over a fusion bucket and over one 128-wide weight row (what
 // Dense.Backward passes Axpy). All must report 0 allocs/op.
 // internal/tensor's BenchmarkDenseCrossover is the evidence for the

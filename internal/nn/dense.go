@@ -24,7 +24,7 @@ type Dense struct {
 
 	// scratch is tensor.DenseForward's working memory, shared by every
 	// Dense of the owning Network (layers run one at a time); nil for a
-	// layer used on its own, which then takes the scalar path.
+	// layer used on its own, which then never takes the tiled path.
 	scratch []float32
 }
 
@@ -69,9 +69,9 @@ func (d *Dense) Init(rng *rand.Rand) {
 	}
 }
 
-// Forward is tensor.DenseForward over the bound weights: batches of two
-// or more samples run with samples on the vector lanes where the CPU has
-// them, bit for bit the scalar loop's result.
+// Forward is tensor.DenseForward over the bound weights: where the CPU
+// has vector lanes, small batches run with outputs on them and larger
+// ones with samples on them, bit for bit the scalar loop's result.
 func (d *Dense) Forward(x []float32, batch int) []float32 {
 	if len(x) != batch*d.in {
 		panic(fmt.Sprintf("nn: Dense %s forward got %d values, want %d", d.name, len(x), batch*d.in))

@@ -10,8 +10,11 @@ import (
 // Network is a sequential stack of layers backed by a single flat
 // parameter vector and a matching gradient vector, segmented per layer by
 // a tensor.Layout. That layout is exactly what per-layer Adasum consumes.
+// The gradient vector is always the network's own; the parameter vector
+// is too unless ShareParams replaced it with a caller's.
 type Network struct {
 	layers []Layer
+	bound  []Layer // the parameter-holding layers, in layout order
 	params []float32
 	grads  []float32
 	layout tensor.Layout
@@ -49,16 +52,12 @@ func NewNetwork(layers ...Layer) *Network {
 	}
 	n := &Network{
 		layers: layers,
+		bound:  bindable,
 		params: make([]float32, total),
 		grads:  make([]float32, total),
 		layout: tensor.NewLayout(names, sizes),
 	}
-	off := 0
-	for _, pl := range bindable {
-		sz := pl.ParamSize()
-		pl.Bind(n.params[off:off+sz], n.grads[off:off+sz])
-		off += sz
-	}
+	n.bind()
 	// One forward scratch, sized for the largest Dense, serves them all.
 	need := 0
 	for _, pl := range bindable {
@@ -75,6 +74,16 @@ func NewNetwork(layers ...Layer) *Network {
 		}
 	}
 	return n
+}
+
+// bind hands every parameter-holding layer its views of params and grads.
+func (n *Network) bind() {
+	off := 0
+	for _, pl := range n.bound {
+		sz := pl.ParamSize()
+		pl.Bind(n.params[off:off+sz], n.grads[off:off+sz])
+		off += sz
+	}
 }
 
 // compositeLayer is implemented by layers (like Residual) whose
@@ -103,6 +112,8 @@ func (n *Network) Init(rng *rand.Rand) {
 }
 
 // Params returns the flat parameter vector (live view; mutations apply).
+// After ShareParams it is the caller's vector, shared with whoever else
+// holds it.
 func (n *Network) Params() []float32 { return n.params }
 
 // Grads returns the flat gradient vector (live view).
@@ -130,6 +141,22 @@ func (n *Network) SetParams(w []float32) {
 		panic("nn: SetParams size mismatch")
 	}
 	copy(n.params, w)
+}
+
+// ShareParams makes p, a caller-owned vector of NumParams values, the
+// network's parameter vector: every layer is re-bound onto it, nothing
+// is copied, and the network's own vector is dropped. From then on
+// Params returns p, Forward and Backward read whatever p currently
+// holds, and Init and SetParams write through to it. It is how replicas
+// that only ever read parameters (the trainer's pre-optimizer workers)
+// follow a master copy without a model-sized copy per step; p must stay
+// alive and must not be written while the network runs.
+func (n *Network) ShareParams(p []float32) {
+	if len(p) != len(n.params) {
+		panic("nn: ShareParams size mismatch")
+	}
+	n.params = p
+	n.bind()
 }
 
 // Forward runs the batch through every layer and returns the final

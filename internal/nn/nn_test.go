@@ -313,3 +313,56 @@ func TestTrainingReducesLoss(t *testing.T) {
 		t.Fatalf("loss did not drop: %v -> %v", before, after)
 	}
 }
+
+// A replica bound to another network's parameter vector by ShareParams
+// computes that network's outputs and gradients bit for bit, follows
+// every later write to the vector without a copy, keeps a gradient
+// vector of its own, and writes through on SetParams — for every layer
+// kind that holds parameters, composites included.
+func TestShareParamsFollowsTheOwner(t *testing.T) {
+	for name, model := range map[string]func() *Network{
+		"mlp":   func() *Network { return NewMLP(12, 16, 9, 4) },
+		"bert":  func() *Network { return NewBERTProxy(12, 4, 16, 2) },
+		"lenet": func() *Network { return NewLeNet5(12, 12, 4) },
+	} {
+		rng := rand.New(rand.NewSource(31))
+		owner, replica := model(), model()
+		owner.Init(rng)
+		replica.ShareParams(owner.Params())
+		if &replica.Params()[0] != &owner.Params()[0] || len(replica.Params()) != owner.NumParams() {
+			t.Fatalf("%s: Params() is not the shared vector", name)
+		}
+		if &replica.Grads()[0] == &owner.Grads()[0] {
+			t.Fatalf("%s: the gradient vector is shared too", name)
+		}
+		x, labels := randomBatch(rng, 3, owner.InDim(), 4)
+		for round := 0; round < 3; round++ {
+			lo, lr := owner.Gradient(x, labels, 3), replica.Gradient(x, labels, 3)
+			if lo != lr {
+				t.Fatalf("%s round %d: loss %v on the replica, %v on the owner", name, round, lr, lo)
+			}
+			for i, g := range owner.Grads() {
+				if math.Float32bits(replica.Grads()[i]) != math.Float32bits(g) {
+					t.Fatalf("%s round %d: gradient %d differs: %v vs %v", name, round, i, replica.Grads()[i], g)
+				}
+			}
+			// The owner moves; the replica must see it on its next pass.
+			for i, g := range owner.Grads() {
+				owner.Params()[i] -= 0.1 * g
+			}
+		}
+		fresh := make([]float32, owner.NumParams())
+		replica.SetParams(fresh)
+		if owner.Params()[0] != 0 || owner.Params()[len(fresh)-1] != 0 {
+			t.Fatalf("%s: SetParams on the replica did not write through", name)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: ShareParams accepted a vector of the wrong size", name)
+				}
+			}()
+			replica.ShareParams(fresh[1:])
+		}()
+	}
+}

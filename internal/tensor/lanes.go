@@ -13,7 +13,8 @@ import (
 // in the twin's order, each product, sum, quotient, square root and
 // conversion rounded on its own (no FMA, no reassociation, no
 // reciprocal), so the asm, the twin and the 386 build agree bit for bit
-// on every input (NaN payloads excepted). See DESIGN.md, "Lane kernels".
+// on every input (NaN payloads excepted; the outputs-on-lanes forward
+// pass keeps those too). See DESIGN.md, "Lane kernels".
 //
 // Assembly takes raw pointers, so memory safety lives here and in the
 // dispatchers of lanes_amd64.go, not in the callers: the exported
@@ -25,9 +26,11 @@ import (
 // batch of row-major samples: y[s*out+o] = Σᵢ w[o*in+i]·x[s*in+i] + b[o],
 // each output accumulated in float32 in the fixed order of
 // denseForwardGeneric. b is empty for a layer without bias. scratch is
-// working memory for the vector path — DenseScratchLen(in, out) floats,
-// contents irrelevant before and undefined after; a shorter scratch (nil
-// included) selects the scalar path. y must not overlap any input.
+// working memory for the samples-on-lanes vector path —
+// DenseScratchLen(in, out) floats, contents irrelevant before and
+// undefined after; with a shorter scratch (nil included) the batches
+// that path would take run on the scalar path. y must not overlap any
+// input.
 //
 //adasum:noalloc
 func DenseForward(y, x, w, b []float32, batch, in, out int, scratch []float32) {
@@ -40,10 +43,11 @@ func DenseForward(y, x, w, b []float32, batch, in, out int, scratch []float32) {
 	denseForward(y, x, w, b, batch, in, out, scratch)
 }
 
-// denseForwardGeneric is the pure-Go twin of the tiled vector path and
-// the definition of DenseForward. Per output the order is: groups of
-// four products summed left to right and added to the accumulator, then
-// the in%4 tail one product at a time, then the bias.
+// denseForwardGeneric is the pure-Go twin of both vector paths (samples
+// on the lanes, outputs on the lanes) and the definition of
+// DenseForward. Per output the order is: groups of four products summed
+// left to right and added to the accumulator, then the in%4 tail one
+// product at a time, then the bias.
 //
 //adasum:noalloc
 func denseForwardGeneric(y, x, w, b []float32, batch, in, out int) {

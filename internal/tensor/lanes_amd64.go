@@ -36,6 +36,14 @@ func scaledCombineAVX(dst, a, b *float32, n int, ca, cb float32)
 //go:noescape
 func denseTileAVX(yt, xt, w, b *float32, in, out int)
 
+// One sample through the first rows outputs of an in-wide layer: y
+// receives rows outputs, x holds in features, w is the row-major weight
+// matrix and b the bias (nil for none). in is positive and rows a
+// positive multiple of 8.
+//
+//go:noescape
+func denseRowsAVX(y, x, w, b *float32, in, rows int)
+
 // n is a positive multiple of 4.
 //
 //go:noescape
@@ -80,13 +88,21 @@ func scaledCombine(dst []float32, ca float32, a []float32, cb float32, b []float
 }
 
 const (
-	// denseLanes is the tile width of the vector forward pass: eight
-	// samples, one per float32 lane of a ymm register.
+	// denseLanes is the width of both vector forward passes: eight
+	// float32 lanes of a ymm register, holding eight samples of a tile
+	// or eight outputs of one sample.
 	denseLanes = 8
-	// denseMinBatch is the smallest batch the tiled path takes; below it
-	// the transposes cost more than the lanes save. Chosen from
-	// BenchmarkDenseForward (see DESIGN.md, "Lane kernels").
-	denseMinBatch = 2
+	// denseRowsMaxBatch is the largest batch that runs with outputs on
+	// the lanes, one sample at a time; denseMinBatch is the smallest the
+	// tiled path takes when the rows path does not apply (a layer of
+	// fewer than eight outputs has no block of rows to put on the lanes).
+	// Both from BenchmarkDenseCrossover (see DESIGN.md, "Lane kernels"):
+	// the rows path costs the same per sample at every batch, the tiled
+	// path pays for a whole tile however few samples fill it, and up to
+	// three samples the rows path wins on every shape measured; at four
+	// and five the winner depends on the shape.
+	denseRowsMaxBatch = 3
+	denseMinBatch     = 2
 )
 
 // DenseScratchLen returns the scratch length DenseForward wants for an
@@ -96,11 +112,42 @@ func DenseScratchLen(in, out int) int { return (in + out) * denseLanes }
 
 //adasum:noalloc
 func denseForward(y, x, w, b []float32, batch, in, out int, scratch []float32) {
-	if !cpu.HasAVXFMA || batch < denseMinBatch || len(scratch) < DenseScratchLen(in, out) {
+	switch {
+	case cpu.HasAVXFMA && batch <= denseRowsMaxBatch && out >= denseLanes:
+		denseForwardRows(y, x, w, b, batch, in, out)
+	case cpu.HasAVXFMA && batch >= denseMinBatch && len(scratch) >= DenseScratchLen(in, out):
+		denseForwardTiled(y, x, w, b, batch, in, out, scratch)
+	default:
 		denseForwardGeneric(y, x, w, b, batch, in, out)
-		return
 	}
-	denseForwardTiled(y, x, w, b, batch, in, out, scratch)
+}
+
+// denseForwardRows puts outputs on the vector lanes: for each sample
+// denseRowsAVX takes the weight rows eight at a time, transposes them in
+// registers four features at a time and multiplies by a broadcast
+// feature — so every lane performs denseForwardGeneric's operations for
+// its own output, in order, and nothing is transposed in memory. The
+// out%8 rows past the last whole block go to the twin. The caller has
+// checked the slice lengths against batch, in and out and that out is
+// at least denseLanes.
+//
+//adasum:noalloc
+func denseForwardRows(y, x, w, b []float32, batch, in, out int) {
+	rows := out &^ (denseLanes - 1)
+	_ = w[in*out-1]
+	var bias *float32
+	var restBias []float32
+	if len(b) != 0 {
+		_ = b[out-1]
+		bias, restBias = &b[0], b[rows:]
+	}
+	for s := 0; s < batch; s++ {
+		xs, ys := x[s*in:(s+1)*in], y[s*out:(s+1)*out]
+		denseRowsAVX(&ys[0], &xs[0], &w[0], bias, in, rows)
+		if rows < out {
+			denseForwardGeneric(ys[rows:], xs, w[rows*in:], restBias, 1, in, out-rows)
+		}
+	}
 }
 
 // denseForwardTiled puts samples on the vector lanes: a tile of up to

@@ -186,6 +186,125 @@ densestore:
 	VZEROUPPER
 	RET
 
+// func denseRowsAVX(y, x, w, b *float32, in, rows int)
+//
+// One sample through the first rows outputs of an in-wide layer, eight
+// outputs at a time with lane l holding output o+l. Per group of four
+// features the eight rows' 128-bit pieces w[o+l][i..i+3] are loaded two
+// to a register (rows l and l+4 in the two halves) and transposed in
+// registers, so that column j holds w[o+l][i+j] on lane l; each column
+// is multiplied by a broadcast x[i+j]:
+//
+//	acc = 0
+//	per group of four features: acc += ((w0*x0 + w1*x1) + w2*x2) + w3*x3
+//	per tail feature:           acc += w*x
+//	acc += b[o+l]               (when b != nil)
+//	y[o : o+8] = acc
+//
+// which is denseForwardGeneric's order for every lane. The first source
+// of every VMULPS and VADDPS (the middle operand here) is the
+// destination operand of the twin's MULSS/ADDSS, so that two NaN
+// operands leave the payload the twin leaves. BX walks rows o..o+3 and
+// R9 rows o+4..o+7, both across the features; R13 is the row stride in
+// bytes and AX three times it. The 128-bit loads stop at the last whole
+// group: the tail reads one float at a time, so no load passes the end
+// of a row.
+TEXT ·denseRowsAVX(SB), NOSPLIT, $0-48
+	MOVQ y+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ w+16(FP), BX
+	MOVQ b+24(FP), R8
+	MOVQ in+32(FP), R11
+	MOVQ rows+40(FP), R10
+	LEAQ (R11*4), R13
+	LEAQ (R13)(R13*2), AX
+	MOVQ R11, R12
+	SHRQ $2, R11          // groups of four features
+	ANDQ $3, R12          // tail features
+	SHRQ $3, R10          // blocks of eight rows
+
+rowsblock:
+	LEAQ   (BX)(R13*4), R9
+	VXORPS Y0, Y0, Y0
+	MOVQ   SI, DX
+	MOVQ   R11, CX
+	TESTQ  CX, CX
+	JZ     rowstail
+
+rowsgroup:
+	VMOVUPS      (BX), X1
+	VMOVUPS      (BX)(R13*1), X2
+	VMOVUPS      (BX)(R13*2), X3
+	VMOVUPS      (BX)(AX*1), X4
+	VINSERTF128  $1, (R9), Y1, Y1        // rows 0|4
+	VINSERTF128  $1, (R9)(R13*1), Y2, Y2 // rows 1|5
+	VINSERTF128  $1, (R9)(R13*2), Y3, Y3 // rows 2|6
+	VINSERTF128  $1, (R9)(AX*1), Y4, Y4  // rows 3|7
+	VUNPCKLPS    Y2, Y1, Y5              // r0.0 r1.0 r0.1 r1.1
+	VUNPCKHPS    Y2, Y1, Y6              // r0.2 r1.2 r0.3 r1.3
+	VUNPCKLPS    Y4, Y3, Y7              // r2.0 r3.0 r2.1 r3.1
+	VUNPCKHPS    Y4, Y3, Y8              // r2.2 r3.2 r2.3 r3.3
+	VSHUFPS      $0x44, Y7, Y5, Y1       // column 0
+	VSHUFPS      $0xEE, Y7, Y5, Y2       // column 1
+	VSHUFPS      $0x44, Y8, Y6, Y3       // column 2
+	VSHUFPS      $0xEE, Y8, Y6, Y4       // column 3
+	VBROADCASTSS (DX), Y5
+	VBROADCASTSS 4(DX), Y6
+	VBROADCASTSS 8(DX), Y7
+	VBROADCASTSS 12(DX), Y8
+	VMULPS       Y5, Y1, Y1              // w0*x0
+	VMULPS       Y6, Y2, Y2
+	VMULPS       Y7, Y3, Y3
+	VMULPS       Y8, Y4, Y4
+	VADDPS       Y1, Y2, Y2              // twin: p1 += p0
+	VADDPS       Y2, Y3, Y3              // p2 += that
+	VADDPS       Y3, Y4, Y4              // p3 += that
+	VADDPS       Y4, Y0, Y0              // acc += that
+	ADDQ         $16, BX
+	ADDQ         $16, R9
+	ADDQ         $16, DX
+	DECQ         CX
+	JNZ          rowsgroup
+
+rowstail:
+	MOVQ  R12, CX
+	TESTQ CX, CX
+	JZ    rowsbias
+
+rowstailloop:
+	VMOVSS       (BX), X1
+	VINSERTPS    $0x10, (BX)(R13*1), X1, X1
+	VINSERTPS    $0x20, (BX)(R13*2), X1, X1
+	VINSERTPS    $0x30, (BX)(AX*1), X1, X1
+	VMOVSS       (R9), X2
+	VINSERTPS    $0x10, (R9)(R13*1), X2, X2
+	VINSERTPS    $0x20, (R9)(R13*2), X2, X2
+	VINSERTPS    $0x30, (R9)(AX*1), X2, X2
+	VINSERTF128  $1, X2, Y1, Y1
+	VBROADCASTSS (DX), Y5
+	VMULPS       Y1, Y5, Y1              // twin: x*w here, not w*x
+	VADDPS       Y1, Y0, Y0
+	ADDQ         $4, BX
+	ADDQ         $4, R9
+	ADDQ         $4, DX
+	DECQ         CX
+	JNZ          rowstailloop
+
+rowsbias:
+	TESTQ  R8, R8
+	JZ     rowsstore
+	VADDPS (R8), Y0, Y0
+	ADDQ   $32, R8
+
+rowsstore:
+	VMOVUPS Y0, (DI)
+	ADDQ    $32, DI
+	LEAQ    (R9)(AX*1), BX // R9 is one row past o+4: three more is row o+8
+	DECQ    R10
+	JNZ     rowsblock
+	VZEROUPPER
+	RET
+
 // func adamAVX(pp, gg, mm, vv *float32, n int, c *AdamCoef)
 //
 // Four elements per iteration: the moment updates on four float32 lanes

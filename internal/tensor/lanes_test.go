@@ -16,7 +16,10 @@ import (
 
 // sameF32 is bit equality, except that any NaN equals any NaN: which
 // operand's payload survives a NaN+NaN depends on instruction operand
-// order, which neither the compiler nor the contract fixes.
+// order, which no compiler fixes for a twin: the race detector's and the
+// fuzzer's instrumentation both reorder denseForwardGeneric's. Where a
+// kernel's own operand order is pinned, it is pinned against a model
+// that spells the order out (denseForwardOrdered).
 func sameF32(a, b float32) bool {
 	return math.Float32bits(a) == math.Float32bits(b) || (a != a && b != b)
 }
@@ -35,6 +38,18 @@ func expectSame(t *testing.T, what string, got, want []float32) {
 	if i := diffAt(got, want); i >= 0 {
 		t.Fatalf("%s: element %d of %d: kernel %v (%#08x), twin %v (%#08x)", what, i, len(want),
 			got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+	}
+}
+
+// expectBits is expectSame without the NaN exception: every element the
+// same 32 bits, NaN payloads and signs included.
+func expectBits(t *testing.T, what string, got, want []float32) {
+	t.Helper()
+	for i := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("%s: element %d of %d: kernel %v (%#08x), want %v (%#08x)", what, i, len(want),
+				got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+		}
 	}
 }
 
@@ -155,16 +170,111 @@ func checkUpdates(t *testing.T, p, m, v []float32, grad func(step int) []float32
 	}
 }
 
-// checkDense runs DenseForward on the vector path (a full scratch)
-// against its twin, with and without the bias.
-func checkDense(t *testing.T, x, w, b []float32, batch, in, out int) {
+// denseRowsUnderTest is the outputs-on-lanes path called directly, where
+// the build has one (lanes_amd64_test.go sets it): the sweeps then reach
+// the kernel at every batch whatever DenseForward's dispatch
+// constants say. It wants out >= 8.
+var denseRowsUnderTest func(y, x, w, b []float32, batch, in, out int)
+
+// mulOrdered and addOrdered are one x86 scalar or vector float32
+// instruction with first source a and second source b: a NaN first
+// source is the result (quieted), else a NaN second source, else the
+// arithmetic — whose own NaNs (Inf*0, Inf-Inf) are the same default NaN
+// whichever way round the operands are.
+func mulOrdered(a, b float32) float32 { return nanFirst(a, b, a*b) }
+func addOrdered(a, b float32) float32 { return nanFirst(a, b, a+b) }
+
+func nanFirst(a, b, r float32) float32 {
+	const quiet = 1 << 22
+	switch {
+	case a != a:
+		return math.Float32frombits(math.Float32bits(a) | quiet)
+	case b != b:
+		return math.Float32frombits(math.Float32bits(b) | quiet)
+	}
+	return r
+}
+
+// denseForwardOrdered is denseForwardGeneric with the operand order of
+// every instruction written out — the order go1.24's compiler gives the
+// twin's MULSS/ADDSS in a plain amd64 build (TestDenseTwinOperandOrder),
+// and the order denseRowsAVX's VMULPS/VADDPS take. It differs from the
+// twin only in which payload a NaN result carries.
+func denseForwardOrdered(y, x, w, b []float32, batch, in, out int) {
+	for s := 0; s < batch; s++ {
+		xi := x[s*in : (s+1)*in]
+		for o := 0; o < out; o++ {
+			row := w[o*in : (o+1)*in]
+			var acc float32
+			i := 0
+			for ; i+4 <= in; i += 4 {
+				sum := addOrdered(mulOrdered(row[i+1], xi[i+1]), mulOrdered(row[i], xi[i]))
+				sum = addOrdered(mulOrdered(row[i+2], xi[i+2]), sum)
+				sum = addOrdered(mulOrdered(row[i+3], xi[i+3]), sum)
+				acc = addOrdered(acc, sum)
+			}
+			for ; i < in; i++ {
+				acc = addOrdered(acc, mulOrdered(xi[i], row[i]))
+			}
+			if len(b) != 0 {
+				acc = addOrdered(acc, b[o])
+			}
+			y[s*out+o] = acc
+		}
+	}
+}
+
+// guardWord is the bit pattern checkDense plants around y: a signalling
+// NaN no kernel produces.
+const guardWord = 0x7fa5a5a5
+
+// guarded returns n floats at slice offset off with eight guard words
+// on either side, and the whole array for checkGuards.
+func guarded(n, off int) (v, whole []float32) {
+	whole = make([]float32, off+8+n+8)
+	for i := range whole {
+		whole[i] = math.Float32frombits(guardWord)
+	}
+	return whole[off+8 : off+8+n : off+8+n], whole
+}
+
+func checkGuards(t *testing.T, what string, whole []float32, off, n int) {
+	t.Helper()
+	for i, v := range whole {
+		if (i < off+8 || i >= off+8+n) && math.Float32bits(v) != guardWord {
+			t.Fatalf("%s: wrote outside y, at %d relative to y[0] (y has %d elements)", what, i-off-8, n)
+		}
+	}
+}
+
+// checkDense runs DenseForward (a full scratch, so whichever path the
+// dispatch picks) against its twin, with and without the bias, y at
+// slice offset off between guard words; and the outputs-on-lanes path
+// directly, its whole blocks of eight rows against denseForwardOrdered,
+// NaN payloads included (the out%8 rows left over are the twin's).
+func checkDense(t *testing.T, x, w, b []float32, batch, in, out, off int) {
 	t.Helper()
 	scratch := make([]float32, DenseScratchLen(in, out))
+	want, ordered := make([]float32, batch*out), make([]float32, batch*out)
 	for _, bias := range [][]float32{nil, b} {
-		got, want := make([]float32, batch*out), make([]float32, batch*out)
-		DenseForward(got, x, w, bias, batch, in, out, scratch)
+		what := fmt.Sprintf("DenseForward batch=%d in=%d out=%d bias=%v off=%d", batch, in, out, bias != nil, off)
 		denseForwardGeneric(want, x, w, bias, batch, in, out)
-		expectSame(t, fmt.Sprintf("DenseForward batch=%d in=%d out=%d bias=%v", batch, in, out, bias != nil), got, want)
+		got, whole := guarded(batch*out, off)
+		DenseForward(got, x, w, bias, batch, in, out, scratch)
+		expectSame(t, what, got, want)
+		checkGuards(t, what, whole, off, batch*out)
+
+		if denseRowsUnderTest != nil && out >= 8 {
+			what += " rows path"
+			got, whole = guarded(batch*out, off)
+			denseRowsUnderTest(got, x, w, bias, batch, in, out)
+			expectSame(t, what, got, want)
+			checkGuards(t, what, whole, off, batch*out)
+			denseForwardOrdered(ordered, x, w, bias, batch, in, out)
+			for s := 0; s < batch; s++ {
+				expectBits(t, what, got[s*out:s*out+out&^7], ordered[s*out:s*out+out&^7])
+			}
+		}
 	}
 }
 
@@ -209,9 +319,82 @@ func TestDenseForwardMatchesTwin(t *testing.T) {
 					x := laneVec(rng, batch*in, off, kind)
 					w := laneVec(rng, in*out, rng.Intn(8), "gaussian")
 					b := laneVec(rng, out, rng.Intn(8), "gaussian")
-					checkDense(t, x, w, b, batch, in, out)
+					checkDense(t, x, w, b, batch, in, out, off)
 				}
 			}
+		}
+	}
+	// The batches of the outputs-on-lanes path: every in%4 and out%8,
+	// weights and bias of the same kind as the input (so that NaNs and
+	// infinities meet on both sides of a product), every operand at
+	// every 4-byte misalignment of a vector.
+	for _, kind := range laneKinds {
+		for _, batch := range []int{1, 2, 3, 4} {
+			for _, in := range []int{1, 3, 4, 5, 7, 8, 12, 48, 192, 256} {
+				for _, out := range []int{1, 7, 8, 9, 15, 16, 17, 24, 192} {
+					x, w, b := laneVec(rng, batch*in, 0, kind), laneVec(rng, in*out, 0, kind), laneVec(rng, out, 0, kind)
+					for off := 0; off < 8; off++ {
+						checkDense(t, cloneAt(x, off), cloneAt(w, off), cloneAt(b, off), batch, in, out, off)
+					}
+				}
+			}
+		}
+	}
+}
+
+// nanPayloads are NaNs no two of which share a bit pattern: quiet and
+// signalling, both signs, and the one x86 generates (0xffc00000). An
+// operation on two of them returns its first source operand (quieted),
+// so the result tells the operand order of the instruction that made it.
+var nanPayloads = []uint32{
+	0x7fc00000, 0xffc00000, 0x7fc00001, 0xffc12345, 0x7fffffff, 0xffffffff,
+	0x7f800001, 0xff800001, 0x7fa00000, 0xffbfffff, 0x7f812345,
+}
+
+// nanVec is laneVec's "specials" with every other element replaced by
+// one of nanPayloads.
+func nanVec(rng *rand.Rand, n, off int) []float32 {
+	v := laneVec(rng, n, off, "specials")
+	for i := range v {
+		if rng.Intn(2) == 0 {
+			v[i] = math.Float32frombits(nanPayloads[rng.Intn(len(nanPayloads))])
+		}
+	}
+	return v
+}
+
+// The outputs-on-lanes path must leave the NaN the twin leaves, payload
+// and sign: its VMULPS/VADDPS take their operands in the order of the
+// twin's MULSS/ADDSS (w*x in the groups, p1+p0, p2+(..), p3+(..),
+// acc+(..); x*w in the tail; acc+b), which denseForwardOrdered spells
+// out and checkDense compares with bit for bit. Inputs here are mostly
+// NaNs of distinct payloads, with infinities and zeros to generate the
+// default NaN mid-sum, in x, w and b alike.
+func TestDenseRowsNaNPayloads(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	for _, in := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 16, 19} {
+		for _, out := range []int{8, 9, 16, 23} {
+			for trial := 0; trial < 40; trial++ {
+				batch, off := 1+trial%4, trial%8
+				checkDense(t, nanVec(rng, batch*in, off), nanVec(rng, in*out, off), nanVec(rng, out, off), batch, in, out, off)
+			}
+		}
+	}
+	// One NaN at a time in an otherwise finite layer: each position of a
+	// group, the tail and the bias, against a NaN accumulator.
+	const in, out = 11, 8
+	for pos := 0; pos < in+1; pos++ {
+		for _, first := range nanPayloads[:4] {
+			x, w, b := laneVec(rng, in, 0, "gaussian"), laneVec(rng, in*out, 0, "gaussian"), laneVec(rng, out, 0, "gaussian")
+			x[0] = math.Float32frombits(first) // the accumulator is a NaN from the first group on
+			for o := 0; o < out; o++ {
+				if pos < in {
+					w[o*in+pos] = math.Float32frombits(nanPayloads[4+o%4])
+				} else {
+					b[o] = math.Float32frombits(nanPayloads[4+o%4])
+				}
+			}
+			checkDense(t, x, w, b, 1, in, out, 0)
 		}
 	}
 }
@@ -241,28 +424,36 @@ func TestLaneKernelsLengthMismatchPanics(t *testing.T) {
 	f := func(n int) []float32 { return make([]float32, n) }
 	var c AdamCoef
 	for name, call := range map[string]func(){
-		"Axpy short x":             func() { Axpy(1, f(63), f(64)) },
-		"Axpy short y":             func() { Axpy(1, f(64), f(63)) },
-		"Sub short dst":            func() { Sub(f(8), f(64), f(64)) },
-		"Sub short a":              func() { Sub(f(64), f(8), f(64)) },
-		"Sub short b":              func() { Sub(f(64), f(64), f(8)) },
-		"ScaledCombine short dst":  func() { ScaledCombine(f(8), 1, f(64), 1, f(64)) },
-		"ScaledCombine short a":    func() { ScaledCombine(f(64), 1, f(8), 1, f(64)) },
-		"ScaledCombine short b":    func() { ScaledCombine(f(64), 1, f(64), 1, f(8)) },
-		"AdamUpdate short grads":   func() { AdamUpdate(f(64), f(8), f(64), f(64), c) },
-		"AdamUpdate short m":       func() { AdamUpdate(f(64), f(64), f(8), f(64), c) },
-		"AdamUpdate nil v":         func() { AdamUpdate(f(64), f(64), f(64), nil, c) },
-		"AdamUpdate long v":        func() { AdamUpdate(f(64), f(64), f(64), f(65), c) },
-		"AdamUpdate short params":  func() { AdamUpdate(f(8), f(64), f(64), f(64), c) },
-		"MomentumUpdate short g":   func() { MomentumUpdate(f(64), f(8), f(64), 0.9, 0, 1) },
-		"MomentumUpdate short v":   func() { MomentumUpdate(f(64), f(64), f(8), 0.9, 0, 1) },
-		"MomentumUpdate short p":   func() { MomentumUpdate(f(8), f(64), f(64), 0.9, 0, 1) },
-		"DenseForward short x":     func() { DenseForward(f(16*4), f(16*8-1), f(8*4), f(4), 16, 8, 4, f(DenseScratchLen(8, 4))) },
-		"DenseForward short y":     func() { DenseForward(f(16*4-1), f(16*8), f(8*4), f(4), 16, 8, 4, f(DenseScratchLen(8, 4))) },
-		"DenseForward short w":     func() { DenseForward(f(16*4), f(16*8), f(8*4-1), f(4), 16, 8, 4, f(DenseScratchLen(8, 4))) },
-		"DenseForward short b":     func() { DenseForward(f(16*4), f(16*8), f(8*4), f(3), 16, 8, 4, f(DenseScratchLen(8, 4))) },
-		"DenseForward zero in":     func() { DenseForward(f(16*4), nil, nil, f(4), 16, 0, 4, f(64)) },
-		"DenseForward negative in": func() { DenseForward(f(16), f(16), f(16), nil, -4, -4, -4, f(64)) },
+		"Axpy short x":                       func() { Axpy(1, f(63), f(64)) },
+		"Axpy short y":                       func() { Axpy(1, f(64), f(63)) },
+		"Sub short dst":                      func() { Sub(f(8), f(64), f(64)) },
+		"Sub short a":                        func() { Sub(f(64), f(8), f(64)) },
+		"Sub short b":                        func() { Sub(f(64), f(64), f(8)) },
+		"ScaledCombine short dst":            func() { ScaledCombine(f(8), 1, f(64), 1, f(64)) },
+		"ScaledCombine short a":              func() { ScaledCombine(f(64), 1, f(8), 1, f(64)) },
+		"ScaledCombine short b":              func() { ScaledCombine(f(64), 1, f(64), 1, f(8)) },
+		"AdamUpdate short grads":             func() { AdamUpdate(f(64), f(8), f(64), f(64), c) },
+		"AdamUpdate short m":                 func() { AdamUpdate(f(64), f(64), f(8), f(64), c) },
+		"AdamUpdate nil v":                   func() { AdamUpdate(f(64), f(64), f(64), nil, c) },
+		"AdamUpdate long v":                  func() { AdamUpdate(f(64), f(64), f(64), f(65), c) },
+		"AdamUpdate short params":            func() { AdamUpdate(f(8), f(64), f(64), f(64), c) },
+		"MomentumUpdate short g":             func() { MomentumUpdate(f(64), f(8), f(64), 0.9, 0, 1) },
+		"MomentumUpdate short v":             func() { MomentumUpdate(f(64), f(64), f(8), 0.9, 0, 1) },
+		"MomentumUpdate short p":             func() { MomentumUpdate(f(8), f(64), f(64), 0.9, 0, 1) },
+		"DenseForward short x":               func() { DenseForward(f(16*4), f(16*8-1), f(8*4), f(4), 16, 8, 4, f(DenseScratchLen(8, 4))) },
+		"DenseForward short y":               func() { DenseForward(f(16*4-1), f(16*8), f(8*4), f(4), 16, 8, 4, f(DenseScratchLen(8, 4))) },
+		"DenseForward short w":               func() { DenseForward(f(16*4), f(16*8), f(8*4-1), f(4), 16, 8, 4, f(DenseScratchLen(8, 4))) },
+		"DenseForward short b":               func() { DenseForward(f(16*4), f(16*8), f(8*4), f(3), 16, 8, 4, f(DenseScratchLen(8, 4))) },
+		"DenseForward batch 1 short x":       func() { DenseForward(f(16), f(7), f(8*16), f(16), 1, 8, 16, nil) },
+		"DenseForward batch 1 short y":       func() { DenseForward(f(15), f(8), f(8*16), f(16), 1, 8, 16, nil) },
+		"DenseForward batch 1 long y":        func() { DenseForward(f(24), f(8), f(8*16), f(16), 1, 8, 16, nil) },
+		"DenseForward batch 1 short w":       func() { DenseForward(f(16), f(8), f(8*16-1), f(16), 1, 8, 16, nil) },
+		"DenseForward batch 1 w a row short": func() { DenseForward(f(16), f(8), f(8*15), f(16), 1, 8, 16, nil) },
+		"DenseForward batch 1 short b":       func() { DenseForward(f(16), f(8), f(8*16), f(15), 1, 8, 16, nil) },
+		"DenseForward batch 3 short x":       func() { DenseForward(f(3*16), f(3*8-1), f(8*16), nil, 3, 8, 16, nil) },
+		"DenseForward batch 1 zero out":      func() { DenseForward(nil, f(8), nil, nil, 1, 8, 0, nil) },
+		"DenseForward zero in":               func() { DenseForward(f(16*4), nil, nil, f(4), 16, 0, 4, f(64)) },
+		"DenseForward negative in":           func() { DenseForward(f(16), f(16), f(16), nil, -4, -4, -4, f(64)) },
 	} {
 		func() {
 			defer func() {
@@ -283,14 +474,16 @@ func TestLaneKernelsZeroAllocs(t *testing.T) {
 	dy, scratch := make([]float32, batch*out), make([]float32, DenseScratchLen(in, out))
 	c := adamCoefAt(1, 1e-3, 0.01)
 	for name, call := range map[string]func(){
-		"Dot":            func() { Dot(x, y) },
-		"DotNorms":       func() { DotNorms(x, y) },
-		"Axpy":           func() { Axpy(0.5, x, y) },
-		"Sub":            func() { Sub(z, x, y) },
-		"ScaledCombine":  func() { ScaledCombine(z, 0.5, x, 0.25, y) },
-		"AdamUpdate":     func() { AdamUpdate(x, y, z, u, c) },
-		"MomentumUpdate": func() { MomentumUpdate(x, y, z, 0.9, 1e-4, 1e-3) },
-		"DenseForward":   func() { DenseForward(dy, dx, dw, db, batch, in, out, scratch) },
+		"Dot":                  func() { Dot(x, y) },
+		"DotNorms":             func() { DotNorms(x, y) },
+		"Axpy":                 func() { Axpy(0.5, x, y) },
+		"Sub":                  func() { Sub(z, x, y) },
+		"ScaledCombine":        func() { ScaledCombine(z, 0.5, x, 0.25, y) },
+		"AdamUpdate":           func() { AdamUpdate(x, y, z, u, c) },
+		"MomentumUpdate":       func() { MomentumUpdate(x, y, z, 0.9, 1e-4, 1e-3) },
+		"DenseForward":         func() { DenseForward(dy, dx, dw, db, batch, in, out, scratch) },
+		"DenseForward batch 1": func() { DenseForward(dy[:out], dx[:in], dw, db, 1, in, out, scratch) },
+		"DenseForward batch 3": func() { DenseForward(dy[:3*out], dx[:3*in], dw, db, 3, in, out, nil) },
 	} {
 		if a := testing.AllocsPerRun(20, call); a != 0 {
 			t.Errorf("%s: %v allocs per call, want 0", name, a)
@@ -332,7 +525,7 @@ func FuzzLaneKernels(f *testing.F) {
 	rng := rand.New(rand.NewSource(24))
 	for _, kind := range laneKinds {
 		for _, n := range []int{1, 7, 8, 9, 33, 67} {
-			f.Add(f32sToBytes(laneVec(rng, n, 0, kind)), uint8(rng.Intn(8)), float32(rng.NormFloat64()), float32(rng.NormFloat64()), uint8(rng.Intn(40)), uint8(rng.Intn(40)))
+			f.Add(f32sToBytes(laneVec(rng, n, 0, kind)), uint8(rng.Intn(8)), float32(rng.NormFloat64()), float32(rng.NormFloat64()), uint8(rng.Intn(256)), uint8(rng.Intn(256)))
 		}
 	}
 	f.Fuzz(func(t *testing.T, raw []byte, offByte uint8, alpha, beta float32, batchByte, inByte uint8) {
@@ -350,7 +543,10 @@ func FuzzLaneKernels(f *testing.F) {
 		m, v := cycle(x, 1, n), cycle(x, 2, n)
 		checkUpdates(t, x, m, v, func(s int) []float32 { return cloneAt(cycle(x, 2+s, n), off) }, 3, off)
 
-		batch, in, out := 1+int(batchByte%40), 1+int(inByte%40), 1+int(inByte/40)
-		checkDense(t, cloneAt(cycle(x, 0, batch*in), off), cycle(x, 3, in*out), cycle(x, 5, out), batch, in, out)
+		// batch 1..40 and in 1..40 from the low parts of the two bytes,
+		// out 1..49 from their high parts: whole blocks of eight rows,
+		// blocks with rows left over and layers too narrow for a block.
+		batch, in, out := 1+int(batchByte%40), 1+int(inByte%40), 1+7*int(batchByte/40)+int(inByte/40)
+		checkDense(t, cloneAt(cycle(x, 0, batch*in), off), cloneAt(cycle(x, 3, in*out), off), cloneAt(cycle(x, 5, out), off), batch, in, out, off)
 	})
 }

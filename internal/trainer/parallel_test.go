@@ -2,6 +2,7 @@ package trainer
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/compress"
@@ -29,6 +30,10 @@ func TestRunIsBitwiseInvariantUnderGOMAXPROCS(t *testing.T) {
 	}
 	combos := []combo{
 		{"pre/host", PreOptimizer, CommHost, false, nil},
+		// Parallel: the worker fan-out reads the master's parameter vector
+		// from every replica at once (pre-optimizer workers share it).
+		{"pre/host/parallel", PreOptimizer, CommHost, false, nil},
+		{"pre/cluster-overlap/parallel", PreOptimizer, CommCluster, true, nil},
 		{"post/host", PostOptimizer, CommHost, false, nil},
 		{"localsgd/host", LocalSGD, CommHost, false, nil},
 		{"pre/cluster-sync", PreOptimizer, CommCluster, false, nil},
@@ -48,12 +53,17 @@ func TestRunIsBitwiseInvariantUnderGOMAXPROCS(t *testing.T) {
 	defer runtime.GOMAXPROCS(prev)
 	for _, tc := range combos {
 		t.Run(tc.name, func(t *testing.T) {
+			cfg := func() Config {
+				cfg := ckCfg(tc.scope, tc.comm, tc.overlap, tc.codec)
+				cfg.Parallel = strings.HasSuffix(tc.name, "/parallel")
+				return cfg
+			}
 			runtime.GOMAXPROCS(1)
-			serial := Run(ckCfg(tc.scope, tc.comm, tc.overlap, tc.codec))
+			serial := Run(cfg())
 			// Wider than any plausible host so the scheduler has real
 			// freedom even when the machine itself is narrow.
 			runtime.GOMAXPROCS(8)
-			wide := Run(ckCfg(tc.scope, tc.comm, tc.overlap, tc.codec))
+			wide := Run(cfg())
 			runtime.GOMAXPROCS(prev)
 
 			if len(serial.FinalParams) != len(wide.FinalParams) {

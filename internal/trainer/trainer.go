@@ -292,13 +292,20 @@ type Result struct {
 }
 
 // worker is one simulated GPU: a model replica, its data shard, its own
-// batch iterator and (in post-opt modes) its own optimizer state.
+// batch iterator and (in post-opt modes) its own optimizer state. A
+// pre-optimizer replica never writes parameters, so it owns none: its
+// layers are bound to the master's vector (nn.Network.ShareParams), which
+// every restore path — Resume, ReshapeResume, GangRestart — copies into
+// rather than replaces.
 type worker struct {
 	net   *nn.Network
 	shard *data.Dataset
 	iter  *data.Iterator
 	opt   optim.Optimizer
-	grad  []float32 // scratch: this worker's contribution per reduction
+	// grad is this worker's contribution per reduction: the replica's own
+	// gradient vector where one local step's gradient is the contribution
+	// (pre-optimizer, LocalSteps 1), a vector of the worker's otherwise.
+	grad []float32
 
 	// The current microbatch, gathered into buffers reused every local
 	// step (the network holds x only until its backward pass returns).
@@ -585,13 +592,21 @@ func newRun(cfg Config) *run {
 	active := make([]int, cfg.Workers)
 	for w := range workers {
 		shard := cfg.Train.Shard(w, cfg.Workers)
-		workers[w] = &worker{
+		wk := &worker{
 			net:   cfg.Model(),
 			shard: shard,
 			iter:  data.NewIterator(shard.N, cfg.Microbatch, cfg.Seed+1000+int64(w)),
 			opt:   cfg.Optimizer.Clone(),
-			grad:  make([]float32, nParams),
 		}
+		if cfg.Scope == PreOptimizer {
+			wk.net.ShareParams(master.Params())
+		}
+		if cfg.Scope == PreOptimizer && cfg.LocalSteps == 1 {
+			wk.grad = wk.net.Grads()
+		} else {
+			wk.grad = make([]float32, nParams)
+		}
+		workers[w] = wk
 		active[w] = w
 	}
 
@@ -698,8 +713,17 @@ func (r *run) tryStep() (loss, simSec float64, failure *comm.RunError) {
 	runWorker := func(w *worker, wi int) {
 		switch cfg.Scope {
 		case PreOptimizer:
+			// The replica reads the master's parameters in place. One
+			// local step's gradient is the contribution as it stands
+			// (w.grad is the replica's gradient vector: Gradient fills it
+			// from +0, the reduction may overwrite it, the next Gradient
+			// clears it).
+			if cfg.LocalSteps == 1 {
+				x, labels, b := nextBatch(w)
+				r.losses[wi] = w.net.Gradient(x, labels, b)
+				break
+			}
 			// Accumulate mean gradient over LocalSteps microbatches.
-			w.net.SetParams(r.params)
 			tensor.Zero(w.grad)
 			var loss float64
 			for ls := 0; ls < cfg.LocalSteps; ls++ {
