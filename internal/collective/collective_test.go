@@ -245,6 +245,34 @@ func TestLinearAdasumMatchesHostLinear(t *testing.T) {
 	}
 }
 
+// TestAdasumAutoDispatch pins StrategyAuto's Adasum resolution, the
+// paper's dispatch: Algorithm 1 on power-of-two groups, the linear chain
+// otherwise — bit for bit the explicitly selected strategy.
+func TestAdasumAutoDispatch(t *testing.T) {
+	layout := tensor.NewLayout([]string{"a", "b"}, []int{13, 7})
+	n := layout.TotalSize()
+	for _, ranks := range []int{2, 3, 4, 5, 6, 8} {
+		explicit := StrategyLinear
+		if ranks&(ranks-1) == 0 {
+			explicit = StrategyRVH
+		}
+		inputs := makeInputs(int64(ranks*7), ranks, n)
+		run := func(s Strategy) [][]float32 {
+			return comm.RunCollect(comm.NewWorld(ranks, nil), func(p *comm.Proc) []float32 {
+				x := tensor.Clone(inputs[p.Rank()])
+				C(p, WorldGroup(ranks), s).Adasum(x, layout)
+				return x
+			})
+		}
+		auto, want := run(StrategyAuto), run(explicit)
+		for r := range auto {
+			if !tensor.Equal(auto[r], want[r], 0) {
+				t.Fatalf("ranks=%d rank %d: StrategyAuto is not %v", ranks, r, explicit)
+			}
+		}
+	}
+}
+
 func TestHierarchicalAdasumSemantics(t *testing.T) {
 	// 2 nodes x 2 GPUs. Within a node gradients are summed; across nodes
 	// Adasum-combined. Compare against the host-side composition.

@@ -10,9 +10,7 @@ import (
 )
 
 // Strategy selects the algorithm family a Communicator's collectives
-// run. It is the one knob that used to be spread across three enums
-// (the per-bucket overlap.Algo, the trainer's BucketAlgo mirror, and
-// the implicit power-of-two/linear dispatch inside core.Allreduce).
+// run.
 //
 // Each collective honors the strategies that make sense for it and
 // resolves the rest deterministically:

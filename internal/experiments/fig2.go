@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/adasum"
 	"repro/internal/data"
-	"repro/internal/hessian"
 	"repro/internal/tensor"
 )
 
@@ -57,22 +56,22 @@ func RunFig2(scale Scale) *Fig2Result {
 		Noise: 1.3, Seed: 21,
 	}, 512)
 
-	m := hessian.NewSoftmaxModel(cfg.Dim, cfg.Classes)
+	m := newSoftmaxModel(cfg.Dim, cfg.Classes)
 	rng := rand.New(rand.NewSource(22))
-	for i := range m.W {
-		m.W[i] = float32(rng.NormFloat64() * 0.01)
+	for i := range m.w {
+		m.w[i] = float32(rng.NormFloat64() * 0.01)
 	}
 
 	res := &Fig2Result{
 		AdasumErr: Series{Label: "adasum"},
 		SumErr:    Series{Label: "sync-sgd"},
 	}
-	layout := tensor.FlatLayout(m.NumParams())
+	layout := tensor.FlatLayout(m.numParams())
 	it := data.NewIterator(train.N, cfg.Workers*cfg.Microbatch, 23)
 	red := adasum.NewReducer() // reused across the step loop
 	for step := 0; step < cfg.Steps; step++ {
 		idx := it.Next()
-		items := make([]hessian.GradHess, 0, cfg.Workers)
+		items := make([]gradHess, 0, cfg.Workers)
 		grads := make([][]float32, 0, cfg.Workers)
 		for w := 0; w < cfg.Workers; w++ {
 			lo := w * cfg.Microbatch
@@ -81,26 +80,26 @@ func RunFig2(scale Scale) *Fig2Result {
 			}
 			hi := min(lo+cfg.Microbatch, len(idx))
 			x, l := train.Batch(idx[lo:hi])
-			g, h, _ := m.GradientAndHessian(x, l, hi-lo)
-			items = append(items, hessian.GradHess{G: g, H: h})
+			g, h, _ := m.gradientAndHessian(x, l, hi-lo)
+			items = append(items, gradHess{g: g, h: h})
 			grads = append(grads, g)
 		}
-		alpha := hessian.OptimalAlpha(grads)
-		ref := hessian.SequentialTreeReduce(items, alpha)
+		alpha := optimalAlpha(grads)
+		ref := sequentialTreeReduce(items, alpha)
 		ada := red.TreeReduce(grads, layout) // valid until red's next call (next step)
 		sum := adasum.SumReduce(grads)
-		ae, se := hessian.EmulationErrors(ada, sum, ref.G)
+		ae, se := tensor.RelErr(ada, ref.g), tensor.RelErr(sum, ref.g)
 		res.AdasumErr.X = append(res.AdasumErr.X, float64(step))
 		res.AdasumErr.Y = append(res.AdasumErr.Y, ae)
 		res.SumErr.X = append(res.SumErr.X, float64(step))
 		res.SumErr.Y = append(res.SumErr.Y, se)
 
-		for i := range m.W {
-			m.W[i] -= float32(alpha) * ada[i]
+		for i := range m.w {
+			m.w[i] -= float32(alpha) * ada[i]
 		}
 	}
 	tx, tl := test.Batch(seqInts(test.N))
-	res.FinalAcc = m.Accuracy(tx, tl, test.N)
+	res.FinalAcc = m.accuracy(tx, tl, test.N)
 	return res
 }
 

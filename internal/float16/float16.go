@@ -178,17 +178,6 @@ func (h Bits) IsInf() bool { return h&expMask == expMask && h&fracMask == 0 }
 // IsFinite reports whether h is neither NaN nor infinite.
 func (h Bits) IsFinite() bool { return h&expMask != expMask }
 
-// AnyNonFinite reports whether the slice contains a NaN or infinity,
-// signalling fp16 overflow to the dynamic loss scaler.
-func AnyNonFinite(src []Bits) bool {
-	for _, v := range src {
-		if !v.IsFinite() {
-			return true
-		}
-	}
-	return false
-}
-
 // Dot computes the inner product of two half slices with float64
 // accumulation, the precision discipline §4.4.1 calls out as "crucial for
 // the improved convergence of Adasum".

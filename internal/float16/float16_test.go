@@ -172,18 +172,6 @@ func TestSliceCodecs(t *testing.T) {
 	}
 }
 
-func TestAnyNonFinite(t *testing.T) {
-	if AnyNonFinite(Encode([]float32{1, 2, 3})) {
-		t.Fatal("false positive")
-	}
-	if !AnyNonFinite([]Bits{FromFloat32(1), PositiveInf}) {
-		t.Fatal("missed inf")
-	}
-	if !AnyNonFinite([]Bits{NaN}) {
-		t.Fatal("missed NaN")
-	}
-}
-
 func TestDotNorm2Float64Accumulation(t *testing.T) {
 	// 4096 halves of value 0.25 dotted with themselves: each term is
 	// 0.0625, total 256. A half accumulator would saturate resolution;

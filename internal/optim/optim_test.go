@@ -392,3 +392,73 @@ func TestStepAfterBadRestorePanics(t *testing.T) {
 		}
 	}
 }
+
+// shardRow is one case of the §4.3 property behind Table 1's partitioned
+// update: cut the parameters at layer boundaries (Layout.SplitLayerAligned),
+// give each shard its own optimizer over its Window of the layout, and the
+// update is bitwise the monolithic one — LAMB's per-layer trust ratios
+// included, so "we do not have to modify the code of the underlying
+// optimizer". More parts than layers leaves shards empty; they are skipped.
+type shardRow struct {
+	name   string
+	layout tensor.Layout
+	parts  int
+	mk     func(tensor.Layout) Optimizer
+}
+
+var (
+	sixLayers = tensor.NewLayout(
+		[]string{"embed", "enc0", "enc1", "enc2", "enc3", "head"},
+		[]int{64, 128, 128, 96, 96, 40},
+	)
+	newLAMB = func(l tensor.Layout) Optimizer { return NewLAMB(l) }
+	newAdam = func(tensor.Layout) Optimizer { return NewAdam() }
+)
+
+func TestLayerAlignedLAMBShardsMatchMonolithic(t *testing.T) {
+	checkShardsMatchMonolithic(t, []shardRow{
+		{"lamb/1", sixLayers, 1, newLAMB}, {"lamb/2", sixLayers, 2, newLAMB},
+		{"lamb/3", sixLayers, 3, newLAMB}, {"lamb/4", sixLayers, 4, newLAMB},
+		{"lamb/6", sixLayers, 6, newLAMB},
+	})
+}
+
+func TestLayerAlignedAdamShardsMatchMonolithic(t *testing.T) {
+	checkShardsMatchMonolithic(t, []shardRow{{"adam/4", sixLayers, 4, newAdam}})
+}
+
+func TestLayerAlignedShardsMorePartsThanLayers(t *testing.T) {
+	two := tensor.NewLayout([]string{"a", "b"}, []int{10, 10})
+	checkShardsMatchMonolithic(t, []shardRow{{"lamb/2-layers/5", two, 5, newLAMB}})
+}
+
+func checkShardsMatchMonolithic(t *testing.T, rows []shardRow) {
+	t.Helper()
+	for _, row := range rows {
+		rng := rand.New(rand.NewSource(42))
+		n := row.layout.TotalSize()
+		mono, g := make([]float32, n), make([]float32, n)
+		for i := range mono {
+			mono[i] = rng.Float32()*2 - 1
+			g[i] = rng.Float32()*0.2 - 0.1
+		}
+		sharded := tensor.Clone(mono)
+		whole := row.mk(row.layout)
+		ranges := row.layout.SplitLayerAligned(row.parts)
+		shards := make([]Optimizer, len(ranges))
+		for i, r := range ranges {
+			shards[i] = row.mk(row.layout.Window(r[0], r[1]))
+		}
+		for step := 0; step < 5; step++ {
+			whole.Step(mono, g, 0.01)
+			for i, r := range ranges {
+				if r[1] > r[0] {
+					shards[i].Step(sharded[r[0]:r[1]], g[r[0]:r[1]], 0.01)
+				}
+			}
+		}
+		if i := firstBitDiff(sharded, mono); i >= 0 {
+			t.Fatalf("%s: sharded params[%d] = %v, monolithic %v", row.name, i, sharded[i], mono[i])
+		}
+	}
+}

@@ -283,8 +283,7 @@ func MaxAbs(x []float32) float32 {
 	return m
 }
 
-// HasNaNOrInf reports whether x contains a NaN or an infinity. It is used
-// by the dynamic loss scaler to detect fp16 overflow (§4.4.1).
+// HasNaNOrInf reports whether x contains a NaN or an infinity.
 func HasNaNOrInf(x []float32) bool {
 	for _, v := range x {
 		f := float64(v)
