@@ -5,8 +5,9 @@
 //
 // together with its per-layer application (§3.6), host-side recursive tree
 // reduction over any number of gradients (§3.4), the orthogonality metric
-// used in Figure 1, and an fp16 path whose dot products accumulate in
-// float64 (§4.4.1).
+// used in Figure 1. §4.4.1's float64 accumulation happens in
+// tensor.DotNorms, on the decoded operands of every codec: fp16, int8
+// and top-k shrink what travels, never the precision of the dots.
 //
 // Properties (verified by the test suite):
 //   - orthogonal gradients are summed: Adasum(a, b) = a + b when a·b = 0;
@@ -20,10 +21,7 @@
 // nothing. See DESIGN.md for the kernel-fusion and workspace design.
 package adasum
 
-import (
-	"repro/internal/float16"
-	"repro/internal/tensor"
-)
+import "repro/internal/tensor"
 
 // Coefficients returns the two scalars (ca, cb) such that
 // Adasum(a, b) = ca·a + cb·b, given dot = a·b, na = ‖a‖², nb = ‖b‖².
@@ -45,22 +43,12 @@ func Coefficients(dot, na, nb float64) (ca, cb float64) {
 	return ca, cb
 }
 
-// Combine writes Adasum(a, b) into dst, treating the full vectors as a
-// single segment. dst may alias a or b. Dot products and norms accumulate
-// in float64; the three reductions run as one fused pass
-// (tensor.DotNorms) followed by the scaled combine — two memory
-// traversals instead of the four of the naive formulation (§4.4.2).
-//
-//adasum:noalloc
-func Combine(dst, a, b []float32) {
-	CombineFused(dst, a, b)
-}
-
-// CombineFused is Combine exposing the fused reduction results: it writes
-// Adasum(a, b) into dst and returns the pre-combine statistics a·b, ‖a‖²
-// and ‖b‖² that determined the coefficients. Callers that need the stats
-// anyway (orthogonality probes, logging, distributed partials) get them
-// for free instead of re-reducing. dst may alias a or b.
+// CombineFused writes Adasum(a, b) into dst, treating the full vectors
+// as a single segment, and returns the pre-combine statistics a·b, ‖a‖²
+// and ‖b‖² that determined the coefficients. The three reductions run as
+// one fused float64 pass (tensor.DotNorms) followed by the scaled
+// combine — two memory traversals instead of the four of the naive
+// formulation (§4.4.2). dst may alias a or b.
 //
 //adasum:noalloc
 func CombineFused(dst, a, b []float32) (dot, na, nb float64) {
@@ -84,46 +72,6 @@ func CombineLayers(dst, a, b []float32, layout tensor.Layout) {
 	for i := 0; i < layout.NumLayers(); i++ {
 		lo, hi := layout.Bounds(i)
 		CombineFused(dst[lo:hi], a[lo:hi], b[lo:hi])
-	}
-}
-
-// PartialDots holds the three per-segment partial reductions exchanged by
-// the distributed algorithm (line 15 of Algorithm 1): a·b, ‖a‖², ‖b‖².
-// In the distributed setting each rank holds only a slice of the logical
-// vector, so these are summed across the rank group before the combine.
-type PartialDots struct {
-	Dot, NormA, NormB float64
-}
-
-// LayerDots computes per-layer partial dot products for the (local slices
-// of) vectors a and b under layout. The result must be allreduced across
-// the ranks sharing the logical vector before ApplyWithDots.
-func LayerDots(a, b []float32, layout tensor.Layout) []PartialDots {
-	if layout.TotalSize() != len(a) || len(a) != len(b) {
-		panic("adasum: LayerDots size mismatch")
-	}
-	dots := make([]PartialDots, layout.NumLayers())
-	for i := range dots {
-		lo, hi := layout.Bounds(i)
-		d, na, nb := tensor.DotNorms(a[lo:hi], b[lo:hi])
-		dots[i] = PartialDots{Dot: d, NormA: na, NormB: nb}
-	}
-	return dots
-}
-
-// ApplyWithDots performs the per-layer combine of a and b into dst using
-// externally reduced dot products (line 18 of Algorithm 1). This is the
-// second phase of the two-phase distributed Adasum: dots were computed on
-// slices and summed across the group, so each rank applies coefficients
-// consistent with the full logical vectors.
-func ApplyWithDots(dst, a, b []float32, layout tensor.Layout, dots []PartialDots) {
-	if len(dots) != layout.NumLayers() {
-		panic("adasum: ApplyWithDots dots/layout mismatch")
-	}
-	for i := range dots {
-		lo, hi := layout.Bounds(i)
-		ca, cb := Coefficients(dots[i].Dot, dots[i].NormA, dots[i].NormB)
-		tensor.ScaledCombine(dst[lo:hi], float32(ca), a[lo:hi], float32(cb), b[lo:hi])
 	}
 }
 
@@ -177,31 +125,6 @@ func CombineWindow(dst, a, b []float32, off int, layout tensor.Layout, v []float
 		ca, cb := Coefficients(v[3*l], v[3*l+1], v[3*l+2])
 		tensor.ScaledCombine(dst[clo-off:chi-off], float32(ca), a[clo-off:chi-off], float32(cb), b[clo-off:chi-off])
 	}
-}
-
-// FlattenDots serializes per-layer partials into a float64 triple-list
-// [dot0, na0, nb0, dot1, ...] so they can travel through a generic
-// small-vector allreduce.
-func FlattenDots(dots []PartialDots) []float64 {
-	out := make([]float64, 3*len(dots))
-	for i, d := range dots {
-		out[3*i] = d.Dot
-		out[3*i+1] = d.NormA
-		out[3*i+2] = d.NormB
-	}
-	return out
-}
-
-// UnflattenDots is the inverse of FlattenDots.
-func UnflattenDots(flat []float64) []PartialDots {
-	if len(flat)%3 != 0 {
-		panic("adasum: UnflattenDots length not a multiple of 3")
-	}
-	dots := make([]PartialDots, len(flat)/3)
-	for i := range dots {
-		dots[i] = PartialDots{Dot: flat[3*i], NormA: flat[3*i+1], NormB: flat[3*i+2]}
-	}
-	return dots
 }
 
 // Reducer owns the scratch workspace of the host-side reductions so that
@@ -319,20 +242,6 @@ func (r *Reducer) TreeReduceInto(dst []float32, grads [][]float32, layout tensor
 	CombineLayers(dst, work[0], work[1], layout)
 }
 
-// LinearReduce applies Adasum left to right: ((g0 ⊕ g1) ⊕ g2) ⊕ ...
-// This is the "linear" application order of §4.2.3; it produces a
-// different (but equally valid) combination than TreeReduce and is kept
-// for the ordering ablation. The result is valid until the Reducer's
-// next call.
-func (r *Reducer) LinearReduce(grads [][]float32, layout tensor.Layout) []float32 {
-	if len(grads) == 0 {
-		panic("adasum: LinearReduce needs at least one gradient")
-	}
-	out := r.ensureOut(len(grads[0]))
-	LinearReduceInto(out, grads, layout)
-	return out
-}
-
 // SumReduce returns the elementwise sum of the gradients — the
 // synchronous-SGD baseline combiner. The result is valid until the
 // Reducer's next call.
@@ -369,27 +278,18 @@ func TreeReduce(grads [][]float32, layout tensor.Layout) []float32 {
 	return out
 }
 
-// LinearReduceInto applies Adasum left to right into dst, which must not
-// alias any input beyond grads[0] (dst == grads[0] is allowed only if the
-// caller intends in-place accumulation).
-func LinearReduceInto(dst []float32, grads [][]float32, layout tensor.Layout) {
-	if len(grads) == 0 {
-		panic("adasum: LinearReduce needs at least one gradient")
-	}
-	copy(dst, grads[0])
-	for _, g := range grads[1:] {
-		CombineLayers(dst, dst, g, layout)
-	}
-}
-
-// LinearReduce is the allocating convenience form of
-// Reducer.LinearReduce.
+// LinearReduce applies Adasum left to right, ((g0 ⊕ g1) ⊕ g2) ⊕ ..., into
+// a freshly allocated result: the "linear" application order of §4.2.3,
+// a different (but equally valid) combination than TreeReduce. The
+// collective's StrategyLinear is tested against it.
 func LinearReduce(grads [][]float32, layout tensor.Layout) []float32 {
 	if len(grads) == 0 {
 		panic("adasum: LinearReduce needs at least one gradient")
 	}
-	out := make([]float32, len(grads[0]))
-	LinearReduceInto(out, grads, layout)
+	out := tensor.Clone(grads[0])
+	for _, g := range grads[1:] {
+		CombineLayers(out, out, g, layout)
+	}
 	return out
 }
 
@@ -403,14 +303,6 @@ func SumReduce(grads [][]float32) []float32 {
 	for _, g := range grads[1:] {
 		tensor.Axpy(1, g, acc)
 	}
-	return acc
-}
-
-// MeanReduce returns the freshly allocated elementwise average of the
-// gradients.
-func MeanReduce(grads [][]float32) []float32 {
-	acc := SumReduce(grads)
-	tensor.Scale(1/float32(len(grads)), acc)
 	return acc
 }
 
@@ -452,19 +344,4 @@ func OrthogonalityPerLayer(grads [][]float32, layout tensor.Layout) ([]float64, 
 		total /= float64(layout.NumLayers())
 	}
 	return per, total
-}
-
-// CombineF16 performs the pairwise combine on half-precision buffers:
-// dots accumulate in float64, coefficients are applied in float32, and
-// the result is re-quantized to fp16. dst may alias a or b.
-func CombineF16(dst, a, b []float16.Bits) {
-	if len(a) != len(b) || len(dst) != len(a) {
-		panic("adasum: CombineF16 length mismatch")
-	}
-	dot, na, nb := float16.DotNorms(a, b)
-	ca, cb := Coefficients(dot, na, nb)
-	for i := range dst {
-		v := float32(ca)*float16.ToFloat32(a[i]) + float32(cb)*float16.ToFloat32(b[i])
-		dst[i] = float16.FromFloat32(v)
-	}
 }

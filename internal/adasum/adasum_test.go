@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/float16"
 	"repro/internal/tensor"
 )
 
@@ -23,7 +22,7 @@ func TestOrthogonalGradientsAreSummed(t *testing.T) {
 	a := []float32{1, 0, 2, 0}
 	b := []float32{0, 3, 0, -1}
 	dst := make([]float32, 4)
-	Combine(dst, a, b)
+	CombineFused(dst, a, b)
 	want := []float32{1, 3, 2, -1}
 	if !tensor.Equal(dst, want, 1e-7) {
 		t.Fatalf("orthogonal combine = %v, want sum %v", dst, want)
@@ -34,7 +33,7 @@ func TestParallelGradientsAreAveraged(t *testing.T) {
 	// §3.5: when g1 ∥ g2 with equal norms, Adasum is the average.
 	g := []float32{1, -2, 3}
 	dst := make([]float32, 3)
-	Combine(dst, g, g)
+	CombineFused(dst, g, g)
 	if !tensor.Equal(dst, g, 1e-7) {
 		t.Fatalf("Adasum(g,g) = %v, want %v", dst, g)
 	}
@@ -47,7 +46,7 @@ func TestParallelDifferentNorms(t *testing.T) {
 	g1 := []float32{2, 0}
 	g2 := []float32{4, 0}
 	dst := make([]float32, 2)
-	Combine(dst, g1, g2)
+	CombineFused(dst, g1, g2)
 	if !tensor.Equal(dst, []float32{3, 0}, 1e-6) {
 		t.Fatalf("parallel different norms = %v, want [3 0]", dst)
 	}
@@ -58,7 +57,7 @@ func TestAntiParallel(t *testing.T) {
 	g1 := []float32{1, 2}
 	g2 := []float32{-1, -2}
 	dst := make([]float32, 2)
-	Combine(dst, g1, g2)
+	CombineFused(dst, g1, g2)
 	if !tensor.Equal(dst, []float32{0, 0}, 1e-7) {
 		t.Fatalf("antiparallel = %v, want 0", dst)
 	}
@@ -68,15 +67,15 @@ func TestZeroOperands(t *testing.T) {
 	z := []float32{0, 0, 0}
 	g := []float32{1, 2, 3}
 	dst := make([]float32, 3)
-	Combine(dst, z, g)
+	CombineFused(dst, z, g)
 	if !tensor.Equal(dst, g, 0) {
 		t.Fatalf("Adasum(0,g) = %v, want g", dst)
 	}
-	Combine(dst, g, z)
+	CombineFused(dst, g, z)
 	if !tensor.Equal(dst, g, 0) {
 		t.Fatalf("Adasum(g,0) = %v, want g", dst)
 	}
-	Combine(dst, z, z)
+	CombineFused(dst, z, z)
 	if !tensor.Equal(dst, z, 0) {
 		t.Fatalf("Adasum(0,0) = %v, want 0", dst)
 	}
@@ -105,8 +104,8 @@ func TestSymmetryProperty(t *testing.T) {
 		b := randVec(rng, n)
 		ab := make([]float32, n)
 		ba := make([]float32, n)
-		Combine(ab, a, b)
-		Combine(ba, b, a)
+		CombineFused(ab, a, b)
+		CombineFused(ba, b, a)
 		if !tensor.Equal(ab, ba, 1e-6) {
 			t.Fatalf("not symmetric: %v vs %v", ab, ba)
 		}
@@ -124,15 +123,14 @@ func TestNormBracketProperty(t *testing.T) {
 		a := randVec(rng, n)
 		b := randVec(rng, n)
 		dst := make([]float32, n)
-		Combine(dst, a, b)
+		CombineFused(dst, a, b)
 		na, nb, nc := tensor.Norm(a), tensor.Norm(b), tensor.Norm(dst)
 		if nc > na+nb+1e-5 {
 			t.Fatalf("norm exceeds triangle bound: %v > %v + %v", nc, na, nb)
 		}
 		if tensor.Dot(a, b) >= 0 {
 			half := make([]float32, n)
-			tensor.Add(half, a, b)
-			tensor.Scale(0.5, half)
+			tensor.ScaledCombine(half, 0.5, a, 0.5, b)
 			if nc < tensor.Norm(half)-1e-5 {
 				t.Fatalf("norm below average bound: %v < %v", nc, tensor.Norm(half))
 			}
@@ -151,7 +149,7 @@ func TestScaleInvarianceOfDirectionWhenEqual(t *testing.T) {
 		in := tensor.Clone(g)
 		tensor.Scale(c, in)
 		dst := make([]float32, 3)
-		Combine(dst, in, in)
+		CombineFused(dst, in, in)
 		return tensor.Equal(dst, in, 1e-3*float64(c))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -173,7 +171,7 @@ func TestCombineLayersIndependence(t *testing.T) {
 	}
 	// Whole-gradient combine mixes the layers (different result).
 	whole := make([]float32, 4)
-	Combine(whole, a, b)
+	CombineFused(whole, a, b)
 	if tensor.Equal(whole, want, 1e-6) {
 		t.Fatal("whole-gradient combine unexpectedly equals per-layer")
 	}
@@ -198,7 +196,7 @@ func TestTreeReducePairMatchesCombine(t *testing.T) {
 	layout := tensor.FlatLayout(10)
 	tree := TreeReduce([][]float32{a, b}, layout)
 	direct := make([]float32, 10)
-	Combine(direct, a, b)
+	CombineFused(direct, a, b)
 	if !tensor.Equal(tree, direct, 1e-7) {
 		t.Fatalf("tree pair %v != direct %v", tree, direct)
 	}
@@ -275,9 +273,9 @@ func TestSumMeanReduce(t *testing.T) {
 	if !tensor.Equal(s, []float32{9, 12}, 1e-6) {
 		t.Fatalf("SumReduce = %v", s)
 	}
-	m := MeanReduce(grads)
+	m := NewReducer().MeanReduce(grads)
 	if !tensor.Equal(m, []float32{3, 4}, 1e-6) {
-		t.Fatalf("MeanReduce = %v", m)
+		t.Fatalf("Reducer.MeanReduce = %v", m)
 	}
 	// Inputs untouched.
 	if !tensor.Equal(grads[0], []float32{1, 2}, 0) {
@@ -313,46 +311,34 @@ func TestOrthogonalityPerLayer(t *testing.T) {
 	}
 }
 
-func TestDotsFlattenRoundTrip(t *testing.T) {
-	dots := []PartialDots{{1, 2, 3}, {4, 5, 6}}
-	flat := FlattenDots(dots)
-	back := UnflattenDots(flat)
-	if len(back) != 2 || back[0] != dots[0] || back[1] != dots[1] {
-		t.Fatalf("round trip = %v", back)
-	}
-}
-
-func TestApplyWithDotsMatchesCombineLayers(t *testing.T) {
+// The two phases of Algorithm 1 — per-window partial dots summed across
+// the windows (WindowDots), then each window combined with the completed
+// dots (CombineWindow) — must equal the per-layer combine of the whole
+// vectors, with window edges that cut through layers.
+func TestWindowDotsMatchesCombineLayers(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	layout := tensor.NewLayout([]string{"a", "b", "c"}, []int{5, 3, 8})
 	a := randVec(rng, 16)
 	b := randVec(rng, 16)
-	dots := LayerDots(a, b, layout)
+	cuts := []int{0, 4, 7, 16}
+	dots := make([]float64, 3*layout.NumLayers())
+	part := make([]float64, len(dots))
+	for w := 0; w+1 < len(cuts); w++ {
+		lo, hi := cuts[w], cuts[w+1]
+		WindowDots(part, a[lo:hi], b[lo:hi], lo, layout)
+		for i := range dots {
+			dots[i] += part[i]
+		}
+	}
 	viaDots := make([]float32, 16)
-	ApplyWithDots(viaDots, a, b, layout, dots)
+	for w := 0; w+1 < len(cuts); w++ {
+		lo, hi := cuts[w], cuts[w+1]
+		CombineWindow(viaDots[lo:hi], a[lo:hi], b[lo:hi], lo, layout, dots)
+	}
 	direct := make([]float32, 16)
 	CombineLayers(direct, a, b, layout)
 	if !tensor.Equal(viaDots, direct, 1e-7) {
 		t.Fatalf("two-phase %v != direct %v", viaDots, direct)
-	}
-}
-
-func TestCombineF16MatchesFloat32(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	a32 := randVec(rng, 64)
-	b32 := randVec(rng, 64)
-	a := float16.Encode(a32)
-	b := float16.Encode(b32)
-	dst := make([]float16.Bits, 64)
-	CombineF16(dst, a, b)
-	// Reference: combine the dequantized halves in float32.
-	ref := make([]float32, 64)
-	Combine(ref, float16.Decode(a), float16.Decode(b))
-	got := float16.Decode(dst)
-	for i := range got {
-		if math.Abs(float64(got[i]-ref[i])) > 2e-3 {
-			t.Fatalf("f16 combine[%d] = %v, ref %v", i, got[i], ref[i])
-		}
 	}
 }
 
@@ -361,10 +347,10 @@ func TestCombineAliasing(t *testing.T) {
 	a := randVec(rng, 8)
 	b := randVec(rng, 8)
 	want := make([]float32, 8)
-	Combine(want, a, b)
+	CombineFused(want, a, b)
 	// dst aliases a.
 	aCopy := tensor.Clone(a)
-	Combine(aCopy, aCopy, b)
+	CombineFused(aCopy, aCopy, b)
 	if !tensor.Equal(aCopy, want, 1e-7) {
 		t.Fatalf("aliased combine = %v, want %v", aCopy, want)
 	}

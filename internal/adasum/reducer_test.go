@@ -74,7 +74,7 @@ func TestCombineFusedAliasing(t *testing.T) {
 	base := randGrads(2, 100, 3)
 	a, b := base[0], base[1]
 	want := make([]float32, len(a))
-	Combine(want, a, b)
+	CombineFused(want, a, b)
 
 	aliasA := tensor.Clone(a)
 	CombineFused(aliasA, aliasA, b)
@@ -97,14 +97,8 @@ func TestReducerMatchesPackageFunctions(t *testing.T) {
 		if got, want := r.TreeReduce(grads, layout), TreeReduce(grads, layout); !tensor.Equal(got, want, 0) {
 			t.Errorf("n=%d: Reducer.TreeReduce diverges from TreeReduce", n)
 		}
-		if got, want := r.LinearReduce(grads, layout), LinearReduce(grads, layout); !tensor.Equal(got, want, 0) {
-			t.Errorf("n=%d: Reducer.LinearReduce diverges from LinearReduce", n)
-		}
 		if got, want := r.SumReduce(grads), SumReduce(grads); !tensor.Equal(got, want, 0) {
 			t.Errorf("n=%d: Reducer.SumReduce diverges from SumReduce", n)
-		}
-		if got, want := r.MeanReduce(grads), MeanReduce(grads); !tensor.Equal(got, want, 0) {
-			t.Errorf("n=%d: Reducer.MeanReduce diverges from MeanReduce", n)
 		}
 	}
 }
@@ -176,8 +170,7 @@ func TestReducerSteadyStateAllocs(t *testing.T) {
 	r := NewReducer()
 	for name, call := range map[string]func(){
 		"TreeReduce":    func() { r.TreeReduce(grads, flat) },
-		"LinearReduce":  func() { r.LinearReduce(grads, flat) },
-		"Combine":       func() { Combine(dst, grads[0], grads[1]) },
+		"CombineFused":  func() { CombineFused(dst, grads[0], grads[1]) },
 		"CombineLayers": func() { CombineLayers(dst, grads[0], grads[1], layers) },
 	} {
 		call() // warm the workspace

@@ -51,11 +51,11 @@ func TestGlobalMutFixture(t *testing.T) { runFixtureTest(t, GlobalMut, "globalmu
 func TestNoAllocFixture(t *testing.T)   { runFixtureTest(t, NoAlloc, "noalloc", "fixture/noalloc") }
 func TestPoolOwnFixture(t *testing.T)   { runFixtureTest(t, PoolOwn, "poolown", detFixturePath) }
 
-// TestNoAllocTransitiveFixture runs the noalloc analyzer in module mode
-// (per-package pass plus the ModuleRun closure walk) over a fixture
-// whose violations only an interprocedural analysis can see.
+// TestNoAllocTransitiveFixture runs the noalloc analyzer's ModuleRun
+// closure walk over a fixture whose violations only an interprocedural
+// analysis can see.
 func TestNoAllocTransitiveFixture(t *testing.T) {
-	runModuleFixtureTest(t, NoAlloc, "noalloctrans", "fixture/noalloctrans")
+	runFixtureTest(t, NoAlloc, "noalloctrans", "fixture/noalloctrans")
 }
 
 // TestDetOnlySkipsOtherPackages reruns the detmap fixture under a
@@ -67,7 +67,8 @@ func TestDetOnlySkipsOtherPackages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, _, err := RunPackage(pkg, Config{Name: "default"}, []*Analyzer{DetMap})
+	pkgs := []*Package{pkg}
+	diags, _, err := RunModule(pkgs, pkgs, Config{Name: "default"}, []*Analyzer{DetMap})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,25 +77,11 @@ func TestDetOnlySkipsOtherPackages(t *testing.T) {
 	}
 }
 
+// runFixtureTest runs az over the fixture package through RunModule, the
+// entry point adasum-vet uses: the package plays both the analyze set
+// and the full module, so a call path that stays inside it exercises a
+// ModuleRun hook's interprocedural traversal end to end.
 func runFixtureTest(t *testing.T, az *Analyzer, dir, importPath string) {
-	t.Helper()
-	ld := fixtureLoader(t)
-	pkg, err := ld.CheckDir(filepath.Join("testdata", dir), importPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags, annot, err := RunPackage(pkg, Config{Name: "default"}, []*Analyzer{az})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkFixture(t, pkg, diags, annot)
-}
-
-// runModuleFixtureTest is runFixtureTest for analyzers with a ModuleRun
-// hook: the fixture package plays both the analyze set and the full
-// module, so a call path that stays inside it exercises the
-// interprocedural traversal end to end.
-func runModuleFixtureTest(t *testing.T, az *Analyzer, dir, importPath string) {
 	t.Helper()
 	ld := fixtureLoader(t)
 	pkg, err := ld.CheckDir(filepath.Join("testdata", dir), importPath)

@@ -76,7 +76,7 @@ func buildCallGraph(pkgs []*Package) *callGraph {
 				}
 				node := &funcNode{fn: obj, decl: fd, pkg: p}
 				if fd.Body != nil {
-					node.calls = collectCalls(p, fd.Body)
+					node.calls = collectCalls(p.Info, fd.Body)
 				}
 				g.nodes[obj] = node
 			}
@@ -101,34 +101,15 @@ func (g *callGraph) node(fn *types.Func) *funcNode {
 // Calls inside function literals ARE collected: a closure declared in a
 // hot path runs on it (or is handed to something that does), so its
 // callees belong to the enclosing function's closure.
-func collectCalls(p *Package, body *ast.BlockStmt) []callSite {
-	var panicRanges []posRange
-	ast.Inspect(body, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok {
-			if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "panic" && p.Info.Uses[id] == types.Universe.Lookup("panic") {
-				for _, arg := range call.Args {
-					panicRanges = append(panicRanges, posRange{arg.Pos(), arg.End()})
-				}
-			}
-		}
-		return true
-	})
-	inPanic := func(pos token.Pos) bool {
-		for _, r := range panicRanges {
-			if r.lo <= pos && pos < r.hi {
-				return true
-			}
-		}
-		return false
-	}
-
+func collectCalls(info *types.Info, body *ast.BlockStmt) []callSite {
+	panics := panicArgRanges(info, body)
 	var sites []callSite
 	ast.Inspect(body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
-		if !ok || inPanic(call.Pos()) {
+		if !ok || inRanges(panics, call.Pos()) {
 			return true
 		}
-		if site, ok := classifyCall(p, call); ok {
+		if site, ok := classifyCall(info, call); ok {
 			sites = append(sites, site)
 		}
 		return true
@@ -136,14 +117,45 @@ func collectCalls(p *Package, body *ast.BlockStmt) []callSite {
 	return sites
 }
 
+// posRange is a half-open [lo, hi) span of source positions.
+type posRange struct{ lo, hi token.Pos }
+
+// panicArgRanges returns the argument spans of the direct panic(...)
+// calls in body: code that never runs in steady state, which both the
+// call graph and the intraprocedural noalloc scan exempt.
+func panicArgRanges(info *types.Info, body *ast.BlockStmt) []posRange {
+	var out []posRange
+	ast.Inspect(body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "panic" && info.Uses[id] == types.Universe.Lookup("panic") {
+				for _, arg := range call.Args {
+					out = append(out, posRange{arg.Pos(), arg.End()})
+				}
+			}
+		}
+		return true
+	})
+	return out
+}
+
+// inRanges reports whether pos falls inside one of rs.
+func inRanges(rs []posRange, pos token.Pos) bool {
+	for _, r := range rs {
+		if r.lo <= pos && pos < r.hi {
+			return true
+		}
+	}
+	return false
+}
+
 // classifyCall resolves one call expression. The false return covers
 // builtins, conversions, and calls the type info has no answer for
 // (files with type errors).
-func classifyCall(p *Package, call *ast.CallExpr) (callSite, bool) {
+func classifyCall(info *types.Info, call *ast.CallExpr) (callSite, bool) {
 	fun := ast.Unparen(call.Fun)
 	switch fun := fun.(type) {
 	case *ast.Ident:
-		switch obj := p.Info.Uses[fun].(type) {
+		switch obj := info.Uses[fun].(type) {
 		case *types.Func:
 			return callSite{pos: call.Pos(), kind: callStatic, callee: obj}, true
 		case *types.Builtin, *types.TypeName, nil:
@@ -153,7 +165,7 @@ func classifyCall(p *Package, call *ast.CallExpr) (callSite, bool) {
 				desc: fmt.Sprintf("function value %s", fun.Name)}, true
 		}
 	case *ast.SelectorExpr:
-		if sel, ok := p.Info.Selections[fun]; ok {
+		if sel, ok := info.Selections[fun]; ok {
 			// Method or field selected through a value.
 			switch sel.Kind() {
 			case types.MethodVal, types.MethodExpr:
@@ -170,7 +182,7 @@ func classifyCall(p *Package, call *ast.CallExpr) (callSite, bool) {
 			}
 		}
 		// Qualified identifier: pkg.Func, or a conversion pkg.Type(x).
-		switch obj := p.Info.Uses[fun.Sel].(type) {
+		switch obj := info.Uses[fun.Sel].(type) {
 		case *types.Func:
 			return callSite{pos: call.Pos(), kind: callStatic, callee: obj}, true
 		case *types.TypeName, nil:
@@ -185,7 +197,7 @@ func classifyCall(p *Package, call *ast.CallExpr) (callSite, bool) {
 	// Conversions through type expressions (e.g. []byte(s)), indexed
 	// calls of func-typed elements, etc.: conversions carry no body;
 	// anything else func-typed is dynamic.
-	if tv, ok := p.Info.Types[call.Fun]; ok {
+	if tv, ok := info.Types[call.Fun]; ok {
 		if tv.IsType() {
 			return callSite{}, false
 		}

@@ -311,37 +311,9 @@ func (l *Loader) LoadedModulePackages() []*Package {
 	return out
 }
 
-// RunPackage applies the analyzers' per-package checks to one loaded
-// package, honoring DetOnly, and returns the diagnostics
-// (malformed-annotation findings included). Module-scoped checks
-// (Analyzer.ModuleRun) do not run here — use RunModule.
-func RunPackage(p *Package, cfg Config, analyzers []*Analyzer) ([]Diagnostic, *Annotations, error) {
-	annot := CollectAnnotations(p.Fset, p.Files, cfg.Name)
-	diags := append([]Diagnostic(nil), annot.Malformed...)
-	for _, az := range analyzers {
-		if az.Run == nil || (az.DetOnly && !IsDeterministic(p.Path)) {
-			continue
-		}
-		pass := &Pass{
-			Analyzer: az,
-			Fset:     p.Fset,
-			Files:    p.Files,
-			Pkg:      p.Types,
-			Info:     p.Info,
-			Config:   cfg.Name,
-			Annot:    annot,
-			diags:    &diags,
-		}
-		if err := az.Run(pass); err != nil {
-			return nil, nil, fmt.Errorf("analysis: %s on %s: %w", az.Name, p.Path, err)
-		}
-	}
-	return diags, annot, nil
-}
-
 // RunModule applies the analyzers to the analyze packages under one
 // configuration: first the per-package checks on each analyze package
-// (exactly RunPackage's behavior), then every ModuleRun hook once over
+// (honoring DetOnly), then every ModuleRun hook once over
 // all — the full set of loaded module packages, analyze plus the
 // dependencies their imports pulled in — so interprocedural analyses
 // can follow calls across package boundaries. Suppressions consumed by

@@ -96,35 +96,14 @@ func (w *noallocWalk) typeOf(e ast.Expr) types.Type {
 	return w.info.TypeOf(e)
 }
 
-type posRange struct{ lo, hi token.Pos }
-
 func (w *noallocWalk) walk() {
-	// Prepass: collect panic(...) argument ranges.
-	ast.Inspect(w.fn.Body, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok {
-			if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "panic" && w.info.Uses[id] == types.Universe.Lookup("panic") {
-				for _, arg := range call.Args {
-					w.panicArgs = append(w.panicArgs, posRange{arg.Pos(), arg.End()})
-				}
-			}
-		}
-		return true
-	})
+	w.panicArgs = panicArgRanges(w.info, w.fn.Body)
 	ast.Inspect(w.fn.Body, w.visit)
 	w.checkReturns()
 }
 
-func (w *noallocWalk) exempt(pos token.Pos) bool {
-	for _, r := range w.panicArgs {
-		if r.lo <= pos && pos < r.hi {
-			return true
-		}
-	}
-	return false
-}
-
 func (w *noallocWalk) reportf(pos token.Pos, format string, args ...any) {
-	if w.exempt(pos) {
+	if inRanges(w.panicArgs, pos) {
 		return
 	}
 	w.report(pos, format, args...)

@@ -173,10 +173,11 @@ func isCommPath(path string) bool {
 
 // seedEffect classifies call against the pool protocol.
 func (a *poolOwnPkg) seedEffect(call *ast.CallExpr) (poolEffect, bool) {
-	fn := a.staticCallee(call)
-	if fn == nil {
+	site, ok := classifyCall(a.pass.Info, call)
+	if !ok || site.kind != callStatic {
 		return poolEffect{}, false
 	}
+	fn := site.callee
 	if a.inferred[fn] || a.inferred[fn.Origin()] {
 		return poolEffect{kind: effAcquire}, true
 	}
@@ -202,26 +203,6 @@ func (a *poolOwnPkg) seedEffect(call *ast.CallExpr) (poolEffect, bool) {
 		}
 	}
 	return poolEffect{}, false
-}
-
-// staticCallee resolves call to a *types.Func for direct function and
-// concrete-method calls; nil otherwise.
-func (a *poolOwnPkg) staticCallee(call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ := a.pass.Info.Uses[fun].(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		if sel, ok := a.pass.Info.Selections[fun]; ok {
-			if sel.Kind() == types.MethodVal && !types.IsInterface(sel.Recv()) {
-				return sel.Obj().(*types.Func)
-			}
-			return nil
-		}
-		fn, _ := a.pass.Info.Uses[fun.Sel].(*types.Func)
-		return fn
-	}
-	return nil
 }
 
 // recvTypeName returns the name of fn's receiver named type, or "".

@@ -33,7 +33,7 @@ func literals() int {
 func closures(n int) int {
 	f := func() int { return n }  // want `closure capturing n allocates in closures`
 	g := func() int { return 42 } // non-capturing closure compiles to a static func: fine
-	return f() + g()
+	return f() + g()              // want `function value f cannot be verified allocation-free` `function value g cannot be verified allocation-free`
 }
 
 func spin() {}

@@ -28,9 +28,9 @@ func (c *Communicator) ringSum(x []float32) {
 	if c.Size() == 1 {
 		return
 	}
-	bounds := equalBounds(len(x), c.Size())
-	c.reduceScatterRing(x, bounds)
-	c.allgatherRing(x, bounds)
+	chunks := equalBounds(len(x), c.Size())
+	c.reduceScatterRing(x, chunks)
+	c.allgatherRing(x, chunks)
 }
 
 // rvhSum performs recursive vector halving-and-doubling with

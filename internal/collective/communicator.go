@@ -77,11 +77,10 @@ type Config struct {
 
 // commShared is the immutable, proc-independent part of a Communicator,
 // shared by every binding (OnProc clone) of the same logical
-// communicator: the group, the cached rank→position map, and the
-// configuration. Safe for concurrent use once constructed.
+// communicator: the group and the configuration. Safe for concurrent
+// use once constructed.
 type commShared struct {
 	group    Group
-	pos      map[int]int // world rank -> group position, O(1) lookups
 	strategy Strategy
 	comp     compress.Compression // the original knob, for Split inheritance
 	codec    compress.Codec       // static codec; nil when uncompressed or adaptive
@@ -89,11 +88,10 @@ type commShared struct {
 }
 
 // Communicator is an MPI/NCCL-style communicator: a comm.Proc endpoint
-// bound to a Group, owning its cached rank-position map, its codec
-// configuration and (for stateful codecs) its error-feedback Stream.
-// All collectives hang off it as methods — AllreduceSum, AllreduceMean,
-// Adasum, Broadcast, Gather and their zero-allocation Into variants —
-// with the algorithm selected by the Strategy given at construction.
+// bound to a Group, owning its codec configuration and (for stateful
+// codecs) its error-feedback Stream. All collectives hang off it as
+// methods — AllreduceSum, AllreduceMean, Adasum and Broadcast — with the
+// algorithm selected by the Strategy given at construction.
 // Split carves sub-communicators with MPI_Comm_split semantics, so
 // hierarchical reductions are compositions of communicators rather than
 // special-cased free functions (see Hierarchy).
@@ -114,30 +112,32 @@ type Communicator struct {
 
 // New builds a Communicator for rank p over the ordered group g. The
 // group must contain p's rank; it is copied, so the caller may reuse
-// the slice. The rank→position map is built once here — collectives and
-// Pos/Contains are O(1) afterwards, where the free-function API
-// re-scanned the group linearly inside every recursion level.
+// the slice. p's group position is found once here; the collectives'
+// recursions index the group by position from then on.
 func New(p *comm.Proc, g Group, cfg Config) *Communicator {
 	if len(g) == 0 {
 		panic("collective: New requires a non-empty group")
 	}
 	grp := make(Group, len(g))
 	copy(grp, g)
-	pos := make(map[int]int, len(grp))
+	seen := make(map[int]bool, len(grp))
+	mypos := -1
 	for i, r := range grp {
-		if _, dup := pos[r]; dup {
+		if seen[r] {
 			panic(fmt.Sprintf("collective: rank %d appears twice in group %v", r, grp))
 		}
-		pos[r] = i
+		seen[r] = true
+		if r == p.Rank() {
+			mypos = i
+		}
 	}
-	mypos, ok := pos[p.Rank()]
-	if !ok {
+	if mypos < 0 {
 		panic(fmt.Sprintf("collective: rank %d not in group %v", p.Rank(), grp))
 	}
 	codec, pol := compress.Resolve(cfg.Compression)
 	c := &Communicator{
 		shared: &commShared{
-			group: grp, pos: pos, strategy: cfg.Strategy,
+			group: grp, strategy: cfg.Strategy,
 			comp: cfg.Compression, codec: codec, policy: pol,
 		},
 		p:     p,
@@ -157,9 +157,6 @@ func New(p *comm.Proc, g Group, cfg Config) *Communicator {
 	return c
 }
 
-// Proc returns the bound endpoint.
-func (c *Communicator) Proc() *comm.Proc { return c.p }
-
 // Group returns the communicator's group. The slice is shared and must
 // not be mutated.
 func (c *Communicator) Group() Group { return c.shared.group }
@@ -173,17 +170,10 @@ func (c *Communicator) Rank() int { return c.mypos }
 // Strategy returns the configured algorithm family.
 func (c *Communicator) Strategy() Strategy { return c.shared.strategy }
 
-// Codec returns the static wire codec, or nil when the communicator is
-// uncompressed or adaptive (see Policy).
-func (c *Communicator) Codec() compress.Codec { return c.shared.codec }
-
 // Policy returns this communicator instance's compression policy (its
 // own fork, carrying per-slot decision state), or nil when the
 // communicator is uncompressed or statically compressed.
 func (c *Communicator) Policy() compress.Policy { return c.policy }
-
-// Compression returns the configured compression knob as given.
-func (c *Communicator) Compression() compress.Compression { return c.shared.comp }
 
 // Stream returns the communicator's compression stream (nil when
 // uncompressed). Callers running repeated steps over an error-feedback
@@ -191,27 +181,11 @@ func (c *Communicator) Compression() compress.Compression { return c.shared.comp
 // step reuses the i-th residual.
 func (c *Communicator) Stream() *compress.Stream { return c.stream }
 
-// Pos returns the group position of world rank r in O(1), panicking if
-// r is not a member.
-func (c *Communicator) Pos(r int) int {
-	i, ok := c.shared.pos[r]
-	if !ok {
-		panic(fmt.Sprintf("collective: rank %d not in group %v", r, c.shared.group))
-	}
-	return i
-}
-
-// Contains reports in O(1) whether world rank r is a member.
-func (c *Communicator) Contains(r int) bool {
-	_, ok := c.shared.pos[r]
-	return ok
-}
-
 // OnProc binds the same logical communicator to another endpoint of the
-// same rank — the cloned Proc of an asynchronous op (comm.Launch). The
-// clone shares the group, position map and compression stream, so
-// error-feedback residuals persist across the handoff; the engine's
-// launch/join ordering keeps that handoff race-free.
+// same rank — the cloned Proc of an asynchronous op (comm.Handle.Start).
+// The clone shares the group and compression stream, so error-feedback
+// residuals persist across the handoff; the engine's launch/join
+// ordering keeps that handoff race-free.
 func (c *Communicator) OnProc(p *comm.Proc) *Communicator {
 	if p.Rank() != c.p.Rank() {
 		panic("collective: OnProc requires an endpoint of the same rank")

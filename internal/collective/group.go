@@ -49,9 +49,8 @@ func WorldGroup(size int) Group {
 }
 
 // Pos returns the group rank of world rank r, panicking if r is not a
-// member. The scan is O(n); a Communicator caches this lookup in a map
-// built once at construction, which is what the collective hot paths
-// use.
+// member. The scan is O(n); the collectives never search — a
+// Communicator finds its own position once, at construction.
 func (g Group) Pos(r int) int {
 	for i, v := range g {
 		if v == r {
@@ -59,16 +58,6 @@ func (g Group) Pos(r int) int {
 		}
 	}
 	panic(fmt.Sprintf("collective: rank %d not in group %v", r, g))
-}
-
-// Contains reports whether world rank r is a member of the group.
-func (g Group) Contains(r int) bool {
-	for _, v := range g {
-		if v == r {
-			return true
-		}
-	}
-	return false
 }
 
 // IsPowerOfTwo reports whether the group size is a power of two, a

@@ -116,9 +116,6 @@ func (h *Hierarchy) SetCodec(codec compress.Codec) {
 	}
 }
 
-// Levels returns the number of levels including the cross level.
-func (h *Hierarchy) Levels() int { return len(h.scatter) + 1 }
-
 // begin starts a new step on every level's compression stream. The
 // level communicators are owned by the Hierarchy (callers cannot reach
 // their streams the way they reach a plain Communicator's), and one
@@ -209,8 +206,8 @@ func (h *Hierarchy) sumLevel(x []float32, lvl int) {
 		return
 	}
 	lc := h.scatter[lvl]
-	bounds := equalBounds(len(x), lc.Size())
-	shard := lc.reduceScatterRing(x, bounds)
+	chunks := equalBounds(len(x), lc.Size())
+	shard := lc.reduceScatterRing(x, chunks)
 	h.sumLevel(shard, lvl+1)
-	lc.allgatherRing(x, bounds)
+	lc.allgatherRing(x, chunks)
 }

@@ -2,7 +2,7 @@ package collective
 
 // Exchange primitives shared by the allreduce algorithms: the float64
 // dot-product allreduce of Algorithm 1 line 17, binomial-tree
-// broadcast, gather, and the ring reduce-scatter/allgather phases. All
+// broadcast, and the ring reduce-scatter/allgather phases. All
 // ride the communicator's codec-aware transport except the dot-product
 // side payloads, which are tiny and always travel uncompressed.
 
@@ -61,99 +61,31 @@ func (c *Communicator) Broadcast(root int, x []float32) {
 	}
 }
 
-// BroadcastInto is Broadcast with separate source and destination
-// buffers: every rank — root included — finishes with the payload in
-// dst, and the root's src is never written. Non-root callers may pass
-// src as nil. Like Broadcast it allocates nothing in steady state, so
-// callers that must preserve their source vector need no staging copy.
-//
-//adasum:noalloc
-func (c *Communicator) BroadcastInto(root int, dst, src []float32) {
-	if c.mypos == root {
-		if len(src) != len(dst) {
-			panic("collective: BroadcastInto src/dst length mismatch")
-		}
-		copy(dst, src)
-	}
-	c.Broadcast(root, dst)
+// bounds maps a group rank to the [lo, hi) element range of the chunk
+// it owns: a row of an explicit range table (layer-aligned shards), or,
+// with no table, chunk i of the near-equal split of n elements over
+// parts ranks. One value type serves both chunkings, so the ring
+// primitives reach either through a static call.
+type bounds struct {
+	ranges   [][2]int
+	n, parts int
 }
 
-// Gather collects every member's vector at group position root. All
-// vectors must have the same length. Only the root's return value is
-// meaningful; it holds the vectors indexed by group rank. The root's
-// rows are freshly allocated for the uncompressed case only in the
-// sense that transport buffers are handed to the caller — steady-state
-// callers use GatherInto.
-func (c *Communicator) Gather(root int, x []float32) [][]float32 {
-	g := c.shared.group
-	if c.mypos != root {
-		c.send(g[root], x)
-		return nil
-	}
-	out := make([][]float32, len(g))
-	for i := range g {
-		if i == root {
-			out[i] = append([]float32(nil), x...)
-			continue
-		}
-		if c.stream == nil {
-			//adasum:poolown ok Gather returns the received rows to its caller, who owns the result
-			out[i] = c.p.Recv(g[i])
-			continue
-		}
-		out[i] = make([]float32, len(x))
-		if c.policy != nil {
-			c.p.RecvAdaptive(g[i], out[i])
-		} else {
-			c.p.RecvCompressed(g[i], c.shared.codec, out[i])
-		}
-	}
-	return out
-}
-
-// GatherInto is the zero-allocation Gather: the root receives each
-// member's vector directly into into[i] (rows pre-sized to len(x));
-// non-root callers may pass into as nil. The root's own row is copied
-// from x.
-//
-//adasum:noalloc
-func (c *Communicator) GatherInto(root int, x []float32, into [][]float32) {
-	g := c.shared.group
-	if c.mypos != root {
-		c.send(g[root], x)
-		return
-	}
-	if len(into) != len(g) {
-		panic("collective: GatherInto needs one destination row per group member")
-	}
-	for i := range g {
-		if i == root {
-			copy(into[i], x)
-			continue
-		}
-		c.recvInto(g[i], into[i])
-	}
-}
-
-// boundsFn maps a group rank to the [lo, hi) element range of the chunk
-// it owns. The ring primitives take their chunking through this
-// accessor so one implementation serves both the arithmetic equal split
-// and the layer-aligned range tables; non-escaping closures keep both
-// callers allocation-free.
-type boundsFn func(i int) (lo, hi int)
-
-// rangeBounds adapts an explicit range table (layer-aligned shards) to
-// a boundsFn.
-func rangeBounds(ranges [][2]int) boundsFn {
-	//adasum:alloc ok non-escaping closure: callers only pass it down the ring primitives, so it stays on the stack
-	return func(i int) (int, int) { return ranges[i][0], ranges[i][1] }
-}
+// rangeBounds chunks by an explicit range table.
+func rangeBounds(ranges [][2]int) bounds { return bounds{ranges: ranges} }
 
 // equalBounds is the classic near-equal ring-allreduce chunking of n
 // elements over parts ranks, computed arithmetically.
-func equalBounds(n, parts int) boundsFn {
-	//adasum:alloc ok non-escaping closure: callers only pass it down the ring primitives, so it stays on the stack
-	return func(i int) (int, int) { return equalChunk(n, parts, i) }
+func equalBounds(n, parts int) bounds { return bounds{n: n, parts: parts} }
+
+// at returns the [lo, hi) range of group rank i's chunk.
+//
+//adasum:noalloc
+func (b bounds) at(i int) (lo, hi int) {
+	if b.ranges != nil {
+		return b.ranges[i][0], b.ranges[i][1]
+	}
+	return equalChunk(b.n, b.parts, i)
 }
 
 // equalChunk returns the [lo, hi) bounds of chunk i when n elements are
@@ -172,19 +104,19 @@ func equalChunk(n, parts, i int) (lo, hi int) {
 }
 
 // reduceScatterRing performs a ring reduce-scatter with elementwise sum
-// over contiguous chunks. bounds(i) is the element range group rank i
+// over contiguous chunks. b.at(i) is the element range group rank i
 // owns at the end. x is the caller's full vector; on return,
-// x[bounds(me)] holds the group-wide sum of that range, and the
+// x[b.at(me)] holds the group-wide sum of that range, and the
 // function returns that slice. Other regions of x are clobbered with
 // partial sums.
 //
 //adasum:noalloc
-func (c *Communicator) reduceScatterRing(x []float32, bounds boundsFn) []float32 {
+func (c *Communicator) reduceScatterRing(x []float32, b bounds) []float32 {
 	p, g := c.p, c.shared.group
 	n := len(g)
 	me := c.mypos
 	if n == 1 {
-		lo, hi := bounds(0) //adasum:dyncall ok bounds closures (rangeBounds/equalBounds) are index arithmetic only
+		lo, hi := b.at(0)
 		return x[lo:hi]
 	}
 	next := g[(me+1)%n]
@@ -195,9 +127,9 @@ func (c *Communicator) reduceScatterRing(x []float32, bounds boundsFn) []float32
 	for s := 0; s < n-1; s++ {
 		sendIdx := ((me-s-1)%n + n) % n
 		recvIdx := ((me-s-2)%n + n) % n
-		slo, shi := bounds(sendIdx) //adasum:dyncall ok bounds closures (rangeBounds/equalBounds) are index arithmetic only
+		slo, shi := b.at(sendIdx)
 		c.send(next, x[slo:shi])
-		rlo, rhi := bounds(recvIdx) //adasum:dyncall ok bounds closures (rangeBounds/equalBounds) are index arithmetic only
+		rlo, rhi := b.at(recvIdx)
 		got := c.recvNew(prev, rhi-rlo)
 		dst := x[rlo:rhi]
 		for i := range dst {
@@ -206,16 +138,16 @@ func (c *Communicator) reduceScatterRing(x []float32, bounds boundsFn) []float32
 		p.Release(got)
 		p.ComputeReduce(4 * int64(rhi-rlo))
 	}
-	mlo, mhi := bounds(me) //adasum:dyncall ok bounds closures (rangeBounds/equalBounds) are index arithmetic only
+	mlo, mhi := b.at(me)
 	return x[mlo:mhi]
 }
 
 // allgatherRing performs a ring allgather over contiguous chunks: on
-// entry x[bounds(me)] is this rank's finished chunk; on return every
+// entry x[b.at(me)] is this rank's finished chunk; on return every
 // chunk of x is filled with its owner's data.
 //
 //adasum:noalloc
-func (c *Communicator) allgatherRing(x []float32, bounds boundsFn) {
+func (c *Communicator) allgatherRing(x []float32, b bounds) {
 	g := c.shared.group
 	n := len(g)
 	if n == 1 {
@@ -229,9 +161,9 @@ func (c *Communicator) allgatherRing(x []float32, bounds boundsFn) {
 	for s := 0; s < n-1; s++ {
 		sendIdx := ((me-s)%n + n) % n
 		recvIdx := ((me-s-1)%n + n) % n
-		slo, shi := bounds(sendIdx) //adasum:dyncall ok bounds closures (rangeBounds/equalBounds) are index arithmetic only
+		slo, shi := b.at(sendIdx)
 		c.send(next, x[slo:shi])
-		rlo, rhi := bounds(recvIdx) //adasum:dyncall ok bounds closures (rangeBounds/equalBounds) are index arithmetic only
+		rlo, rhi := b.at(recvIdx)
 		c.recvInto(prev, x[rlo:rhi])
 	}
 }

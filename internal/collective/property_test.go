@@ -2,6 +2,7 @@ package collective
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/adasum"
@@ -152,7 +153,7 @@ func TestGroupSubsetCollectives(t *testing.T) {
 	members := [][]float32{inputs[1], inputs[3], inputs[5], inputs[7]}
 	want := adasum.TreeReduce(members, tensor.FlatLayout(n))
 	results := comm.RunCollect(world, func(p *comm.Proc) []float32 {
-		if !g.Contains(p.Rank()) {
+		if !slices.Contains(g, p.Rank()) {
 			return nil // idle rank
 		}
 		x := tensor.Clone(inputs[p.Rank()])

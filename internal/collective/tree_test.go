@@ -2,6 +2,7 @@ package collective
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/adasum"
@@ -61,7 +62,7 @@ func TestTreeAdasumSubgroup(t *testing.T) {
 
 	w := comm.NewWorld(world, nil)
 	results := comm.RunCollect(w, func(p *comm.Proc) []float32 {
-		if !g.Contains(p.Rank()) {
+		if !slices.Contains(g, p.Rank()) {
 			return nil
 		}
 		x := tensor.Clone(grads[g.Pos(p.Rank())])

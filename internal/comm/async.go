@@ -13,7 +13,7 @@ import (
 //
 // Clock accounting rules:
 //
-//   - the op starts at the launching rank's clock at Launch time (the
+//   - the op starts at the launching rank's clock at Start time (the
 //     moment its inputs became ready);
 //   - if the op is chained after another Handle, its start is further
 //     delayed to that op's finish time — this models a serialized
@@ -39,7 +39,7 @@ import (
 // the op's Proc is owned by the Handle — so a steady-state caller
 // (overlap's per-step bucket ops) keeps a fixed set of Handles and
 // launches allocate nothing. The zero Handle is not ready for use;
-// obtain one from Proc.NewHandle (or the allocating Proc.Launch).
+// obtain one from Proc.NewHandle.
 type Handle struct {
 	ap Proc
 
@@ -66,31 +66,21 @@ func (p *Proc) NewHandle() *Handle {
 	return h
 }
 
-// Launch starts body as an asynchronous operation on the given channel
-// plane (must be nonzero; plane ids are shared across ranks, so every
-// rank of a collective launches it with the same id, and a plane must
-// carry only one op at a time). The op's Proc is a clone of p whose
-// clock starts at p's current time, or at after's finish time if that is
-// later (after may be nil). The caller's Proc remains usable for
-// foreground traffic and further launches; the returned Handle must
-// eventually be waited on. Launch allocates a fresh Handle per call;
-// steady-state callers should hold Handles and use Start.
-func (p *Proc) Launch(plane int, after *Handle, body func(ap *Proc)) *Handle {
-	h := p.NewHandle()
-	h.Start(p, plane, after, body)
-	return h
-}
-
-// Start launches body on this Handle as an asynchronous op of rank p on
-// the given plane, chained after the given Handle (nil for none), under
-// the same rules as Launch. The Handle must be idle: never launched, or
-// launched and since completed. Restarting a Handle whose previous op
-// has not finished is a caller bug and panics.
+// Start launches body on this Handle as an asynchronous operation of
+// rank p on the given channel plane (must be nonzero; plane ids are
+// shared across ranks, so every rank of a collective launches it with
+// the same id, and a plane must carry only one op at a time). The op's
+// Proc is a clone of p whose clock starts at p's current time, or at
+// after's finish time if that is later (after may be nil). The caller's
+// Proc remains usable for foreground traffic and further launches; the
+// Handle must eventually be waited on. The Handle must be idle: never
+// launched, or launched and since completed. Restarting a Handle whose
+// previous op has not finished is a caller bug and panics.
 //
 //adasum:noalloc
 func (h *Handle) Start(p *Proc, plane int, after *Handle, body func(ap *Proc)) {
 	if plane == 0 {
-		panic("comm: Launch requires a nonzero plane id (plane 0 is foreground traffic)")
+		panic("comm: Start requires a nonzero plane id (plane 0 is foreground traffic)")
 	}
 	h.mu.Lock()
 	if h.running {
@@ -115,17 +105,7 @@ func (h *Handle) Start(p *Proc, plane int, after *Handle, body func(ap *Proc)) {
 //
 //adasum:noalloc
 func (h *Handle) run() {
-	defer func() { //adasum:alloc ok open-coded defer: closure and record stay on the stack (0 allocs/op bench-pinned)
-		e := recover()
-		h.after = nil
-		h.body = nil
-		h.mu.Lock()
-		h.err = e
-		h.done = true
-		h.running = false
-		h.mu.Unlock()
-		h.cond.Broadcast()
-	}()
+	defer h.complete()
 	if after := h.after; after != nil {
 		t, err := after.join()
 		if err != nil {
@@ -137,6 +117,23 @@ func (h *Handle) run() {
 	}
 	//adasum:dyncall ok the body is the launcher's bucket program — overlap's reduceBucket, itself noalloc-marked
 	h.body(&h.ap)
+}
+
+// complete is run's deferred epilogue: it records the op's panic, if
+// any (recover works here because complete is itself the deferred
+// call), clears the launch and wakes every joiner.
+//
+//adasum:noalloc
+func (h *Handle) complete() {
+	e := recover()
+	h.after = nil
+	h.body = nil
+	h.mu.Lock()
+	h.err = e
+	h.done = true
+	h.running = false
+	h.mu.Unlock()
+	h.cond.Broadcast()
 }
 
 // join blocks until the current op completes and returns its finish

@@ -16,7 +16,8 @@ func TestAsyncOverlapClock(t *testing.T) {
 	clocks := RunCollect(w, func(p *Proc) float64 {
 		peer := 1 - p.Rank()
 		buf := []float32{float32(p.Rank())}
-		h := p.Launch(1, nil, func(ap *Proc) {
+		h := p.NewHandle()
+		h.Start(p, 1, nil, func(ap *Proc) {
 			ap.Send(peer, buf)
 			got := ap.Recv(peer)
 			ap.Release(got)
@@ -38,7 +39,8 @@ func TestAsyncExposedClock(t *testing.T) {
 	w := NewWorld(2, simnet.Uniform(2, 5.0, 0.0))
 	clocks := RunCollect(w, func(p *Proc) float64 {
 		peer := 1 - p.Rank()
-		h := p.Launch(1, nil, func(ap *Proc) {
+		h := p.NewHandle()
+		h.Start(p, 1, nil, func(ap *Proc) {
 			ap.Send(peer, []float32{1})
 			ap.Release(ap.Recv(peer))
 		})
@@ -64,8 +66,10 @@ func TestAsyncChainSerializes(t *testing.T) {
 			ap.Send(peer, []float32{1})
 			ap.Release(ap.Recv(peer))
 		}
-		h1 := p.Launch(1, nil, exchange)
-		h2 := p.Launch(2, h1, exchange) // may not start before h1 is done
+		h1 := p.NewHandle()
+		h1.Start(p, 1, nil, exchange)
+		h2 := p.NewHandle()
+		h2.Start(p, 2, h1, exchange) // may not start before h1 is done
 		p.Compute(1)
 		h1.Wait(p)
 		h2.Wait(p)
@@ -96,8 +100,10 @@ func TestAsyncPlaneIsolation(t *testing.T) {
 				ap.Release(got)
 			}
 		}
-		h1 := p.Launch(1, nil, mk(100))
-		h2 := p.Launch(2, nil, mk(200))
+		h1 := p.NewHandle()
+		h1.Start(p, 1, nil, mk(100))
+		h2 := p.NewHandle()
+		h2.Start(p, 2, nil, mk(200))
 		h2.Wait(p)
 		h1.Wait(p)
 	})
@@ -121,7 +127,8 @@ func TestAsyncPanicPropagates(t *testing.T) {
 	}()
 	w := NewWorld(1, nil)
 	w.Run(func(p *Proc) {
-		h := p.Launch(1, nil, func(ap *Proc) { panic("boom") })
+		h := p.NewHandle()
+		h.Start(p, 1, nil, func(ap *Proc) { panic("boom") })
 		h.Wait(p)
 	})
 }
@@ -132,7 +139,8 @@ func TestAsyncForegroundUnaffected(t *testing.T) {
 	w := NewWorld(2, nil)
 	w.Run(func(p *Proc) {
 		peer := 1 - p.Rank()
-		h := p.Launch(1, nil, func(ap *Proc) {
+		h := p.NewHandle()
+		h.Start(p, 1, nil, func(ap *Proc) {
 			ap.Send(peer, []float32{7})
 			ap.Release(ap.Recv(peer))
 		})

@@ -144,7 +144,7 @@ type World struct {
 	// line. WireBytes merges the shards on read.
 	wire []wireMeter
 
-	// planes holds the nonzero planes, created lazily by Launch.
+	// planes holds the nonzero planes, created lazily by Handle.Start.
 	planeMu sync.Mutex
 	planes  map[int]*plane
 
@@ -452,17 +452,6 @@ func (w *World) RewindWireBytes(total int64) {
 	}
 }
 
-// Proc returns the handle rank r uses to communicate. Each rank must use
-// its own Proc from a single goroutine. Procs handed to Run bodies are
-// pooled per World; Proc itself returns a fresh endpoint for callers
-// that drive ranks manually.
-func (w *World) Proc(r int) *Proc {
-	if r < 0 || r >= w.size {
-		panic(fmt.Sprintf("comm: rank %d out of range [0,%d)", r, w.size))
-	}
-	return &Proc{world: w, rank: r, clock: w.timeBase, failAt: w.failAt[r], links: w.plane0}
-}
-
 // transferCost returns the simulated seconds to move n float32s (plus a
 // small float64 side payload) from src to dst. The byte arithmetic is
 // int64 so >2 GiB payloads cannot overflow on 32-bit builds.
@@ -474,8 +463,8 @@ func (w *World) transferCost(src, dst, nFloats, nMeta int) float64 {
 }
 
 // Proc is one rank's endpoint: its identity, its plane, and its virtual
-// clock. A Proc obtained from World.Proc communicates on the default
-// plane; Launch binds a clone to a private plane so asynchronous
+// clock. A Proc handed to a Run body communicates on the default
+// plane; Handle.Start binds a clone to a private plane so asynchronous
 // collectives cannot interleave with foreground traffic.
 type Proc struct {
 	world *World

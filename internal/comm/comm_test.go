@@ -124,7 +124,7 @@ func TestClockMaxSemantics(t *testing.T) {
 
 func TestComputeAdvancesClock(t *testing.T) {
 	w := NewWorld(1, nil)
-	p := w.Proc(0)
+	p := w.proc(0)
 	p.Compute(1.5)
 	p.Compute(0.5)
 	if p.Clock() != 2 {

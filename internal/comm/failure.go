@@ -75,16 +75,6 @@ func (e *RunError) Roots() []int {
 	return roots
 }
 
-// Observed reports whether rank r appears in the error at all.
-func (e *RunError) Observed(r int) bool {
-	for _, f := range e.Failures {
-		if f.Rank == r {
-			return true
-		}
-	}
-	return false
-}
-
 // deadLatch is one rank's death state: a flag for cheap polling and a
 // channel whose close unblocks every receiver parked on the rank.
 type deadLatch struct {
@@ -126,17 +116,6 @@ func (w *World) markDead(r int) {
 
 // Alive reports whether rank r has not been declared dead.
 func (w *World) Alive(r int) bool { return !w.dead[r].flag.Load() }
-
-// AliveRanks returns the ranks currently alive, ascending.
-func (w *World) AliveRanks() []int {
-	out := make([]int, 0, w.size)
-	for r := 0; r < w.size; r++ {
-		if w.Alive(r) {
-			out = append(out, r)
-		}
-	}
-	return out
-}
 
 // Reset prepares the World for a fresh collective after an aborted one:
 // every queued message on every plane is dropped (an aborted collective

@@ -8,6 +8,12 @@ import (
 	"repro/internal/simnet"
 )
 
+// proc returns a fresh rank-r endpoint on the default plane, for tests
+// that drive ranks by hand instead of through Run.
+func (w *World) proc(r int) *Proc {
+	return &Proc{world: w, rank: r, clock: w.timeBase, failAt: w.failAt[r], links: w.plane0}
+}
+
 // The sparse-fabric lifecycle: links materialize on first touch, are
 // recycled through the free list on Reset, and the failure machinery
 // holds on pairs that have never carried a message.
@@ -19,7 +25,7 @@ func TestLinkCreatedLazilyOnFirstSend(t *testing.T) {
 			t.Fatalf("rank %d has a link row before any traffic", r)
 		}
 	}
-	p0, p1 := w.Proc(0), w.Proc(1)
+	p0, p1 := w.proc(0), w.proc(1)
 	p0.Send(1, []float32{1, 2, 3})
 	row := w.plane0.rows[0].Load()
 	if row == nil || row.links[1].Load() == nil {
@@ -47,12 +53,12 @@ func TestLinkCreatedLazilyOnFirstSend(t *testing.T) {
 
 func TestResetRecyclesLinksThroughFreeList(t *testing.T) {
 	w := NewWorld(4, nil)
-	p0 := w.Proc(0)
+	p0 := w.proc(0)
 	p0.Send(1, []float32{1})
 	p0.Send(2, []float32{2}) // left queued: Reset must drop it
 	l1 := w.plane0.rows[0].Load().links[1].Load()
 	l2 := w.plane0.rows[0].Load().links[2].Load()
-	w.Proc(1).Recv(0)
+	w.proc(1).Recv(0)
 
 	w.Reset()
 	if row := w.plane0.rows[0].Load(); row.links[1].Load() != nil || row.links[2].Load() != nil {
@@ -67,7 +73,7 @@ func TestResetRecyclesLinksThroughFreeList(t *testing.T) {
 
 	// The next collective reuses the recycled channels instead of
 	// growing the fabric: both links come back out of the free list.
-	p0 = w.Proc(0)
+	p0 = w.proc(0)
 	p0.Send(1, []float32{3})
 	p0.Send(2, []float32{4})
 	r1 := w.plane0.rows[0].Load().links[1].Load()
@@ -78,7 +84,7 @@ func TestResetRecyclesLinksThroughFreeList(t *testing.T) {
 	if len(w.linkFree[defaultPlaneCap]) != 0 {
 		t.Fatal("free list not drained by link re-creation")
 	}
-	if got := w.Proc(2).Recv(0); got[0] != 4 {
+	if got := w.proc(2).Recv(0); got[0] != 4 {
 		t.Fatalf("recycled link delivered %v, want the post-Reset payload 4", got)
 	}
 }
@@ -92,7 +98,7 @@ func TestResetRecyclesLinksThroughFreeList(t *testing.T) {
 // on a link the receiver has never seen.)
 func TestDeadRankUnblocksParkedSenderOnFreshLink(t *testing.T) {
 	w := NewWorld(2, nil)
-	p0 := w.Proc(0)
+	p0 := w.proc(0)
 	parked := make(chan struct{})
 	failed := make(chan any, 1)
 	go func() {

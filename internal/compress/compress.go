@@ -306,17 +306,6 @@ func TopK(frac float64, ef bool) Codec {
 	return topKCodec{frac: frac, ef: ef}
 }
 
-// TopKCount returns the sparsifying codec with k fixed absolutely
-// instead of as a fraction of the payload (clamped to the payload
-// length at encode time). This is the form an adaptive policy returns
-// when it sizes k at decision time.
-func TopKCount(k int, ef bool) Codec {
-	if k < 1 {
-		panic(fmt.Sprintf("compress: TopKCount requires k >= 1 (got %d)", k))
-	}
-	return topKCodec{kExact: k, ef: ef}
-}
-
 func (c topKCodec) Kind() Kind { return KindTopK }
 func (c topKCodec) String() string {
 	s := fmt.Sprintf("topk/%g", c.frac)

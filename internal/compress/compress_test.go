@@ -570,7 +570,7 @@ func topKCases(n int) map[string][]float32 {
 // infinities and more NaNs than k.
 func TestTopKMatchesOracle(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 3, 255, 4097, 32768, 163600} {
-		codecs := []Codec{TopKCount(1, true), TopK(0.01, true), TopK(1, true), TopK(0.01, false), TopKCount(3, false)}
+		codecs := []Codec{topKCodec{kExact: 1, ef: true}, TopK(0.01, true), TopK(1, true), TopK(0.01, false), topKCodec{kExact: 3}}
 		if n > 4097 {
 			codecs = codecs[:2] // k = n sorts every magnitude through the quadratic oracle
 		}
@@ -608,7 +608,7 @@ func FuzzTopKEncode(f *testing.F) {
 		for i := range payload {
 			payload[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
 		}
-		checkTopKAgainstOracle(t, TopKCount(int(k)+1, ef), [][]float32{payload, payload, payload})
+		checkTopKAgainstOracle(t, topKCodec{kExact: int(k) + 1, ef: ef}, [][]float32{payload, payload, payload})
 	})
 }
 

@@ -107,29 +107,6 @@ type Policy interface {
 	Fork() Policy
 }
 
-// ------------------------------------------------------------- Static
-
-type staticPolicy struct{ c Codec }
-
-// Static wraps a fixed codec as a degenerate Policy: every decision
-// returns c. It exists so the policy plumbing (self-describing wire,
-// per-launch decision points) can be exercised with any codec; passing
-// the Codec itself as the Compression knob instead selects the
-// headerless static path, which is cheaper on the wire by one word per
-// payload.
-func Static(c Codec) Policy {
-	if c == nil {
-		c = None()
-	}
-	return staticPolicy{c: c}
-}
-
-func (s staticPolicy) String() string         { return "static(" + s.c.String() + ")" }
-func (s staticPolicy) Decide(Telemetry) Codec { return s.c }
-func (s staticPolicy) Snapshot() []float64    { return nil }
-func (s staticPolicy) Restore([]float64)      {}
-func (s staticPolicy) Fork() Policy           { return s }
-
 // ----------------------------------------------------------- Adaptive
 
 // adaptive is the default bandwidth/error-aware policy: a fidelity

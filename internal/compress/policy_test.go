@@ -19,9 +19,6 @@ func TestResolve(t *testing.T) {
 	if c, p := Resolve(Adaptive()); c != nil || p == nil {
 		t.Fatal("Resolve(Adaptive) must be the policy, no codec")
 	}
-	if c, p := Resolve(Static(Int8(0))); c != nil || p == nil {
-		t.Fatal("Resolve(Static) must be the policy, no codec")
-	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Resolve of a foreign Compression type must panic")
@@ -29,25 +26,6 @@ func TestResolve(t *testing.T) {
 	}()
 	type bogus struct{ Compression }
 	Resolve(bogus{})
-}
-
-func TestStaticPolicyAlwaysReturnsItsCodec(t *testing.T) {
-	p := Static(Int8(64))
-	for step := 0; step < 5; step++ {
-		c := p.Decide(Telemetry{Step: step, Elems: 100, TransferSec: float64(step)})
-		if c.Kind() != KindInt8 || c.String() != "int8/64" {
-			t.Fatalf("static policy drifted: %v", c)
-		}
-	}
-	if p.Snapshot() != nil {
-		t.Fatal("static policy must be stateless")
-	}
-	if p.Fork().Decide(Telemetry{Elems: 10}).Kind() != KindInt8 {
-		t.Fatal("forked static policy lost its codec")
-	}
-	if Static(nil).Decide(Telemetry{Elems: 10}).Kind() != KindNone {
-		t.Fatal("Static(nil) must decide None")
-	}
 }
 
 // probe builds a slot-fresh adaptive policy past its probe decision so
@@ -168,7 +146,7 @@ func TestSelfDescribingWireRoundTrip(t *testing.T) {
 	for i := range src {
 		src[i] = rng.Float32()*2 - 1
 	}
-	for _, c := range []Codec{None(), FP16(), Int8(0), Int8(64), TopKCount(13, true)} {
+	for _, c := range []Codec{None(), FP16(), Int8(0), Int8(64), topKCodec{kExact: 13, ef: true}} {
 		wire := make([]float32, WireWords(c, n))
 		wire[0] = HeaderWord(c)
 		var ws Workspace
@@ -198,7 +176,7 @@ func TestHeaderWordSurvivesFloatTransport(t *testing.T) {
 	// Header words ride a float32 wire; the bit pattern must survive a
 	// float round-trip for every kind (i.e. never be a signaling NaN
 	// that transport could canonicalize — we rely on exact bits).
-	for _, c := range []Codec{None(), FP16(), Int8(DefaultInt8Block), TopKCount(5, false)} {
+	for _, c := range []Codec{None(), FP16(), Int8(DefaultInt8Block), topKCodec{kExact: 5}} {
 		h := HeaderWord(c)
 		bits := math.Float32bits(h)
 		if got := math.Float32bits(math.Float32frombits(bits)); got != bits {
@@ -210,14 +188,16 @@ func TestHeaderWordSurvivesFloatTransport(t *testing.T) {
 	}
 }
 
+// The exact-k form — what the adaptive policy decides and the
+// self-describing wire decodes — fixes k whatever the payload length.
 func TestTopKCountExactK(t *testing.T) {
-	c := TopKCount(7, true)
+	c := topKCodec{kExact: 7, ef: true}
 	if !c.ErrorFeedback() || c.Kind() != KindTopK {
-		t.Fatal("TopKCount must keep kind and error feedback")
+		t.Fatal("exact-k top-k must keep kind and error feedback")
 	}
 	for _, n := range []int{7, 100, 4096} {
 		if got := c.EncodedLen(n); got != 14 {
-			t.Fatalf("TopKCount(7) EncodedLen(%d) = %d, want 14", n, got)
+			t.Fatalf("k=7 EncodedLen(%d) = %d, want 14", n, got)
 		}
 	}
 	// k capped by the payload length.

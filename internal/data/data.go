@@ -25,11 +25,6 @@ type Dataset struct {
 	Classes int
 }
 
-// Sample returns the i-th feature row and label. The row is a live view.
-func (d *Dataset) Sample(i int) ([]float32, int) {
-	return d.X[i*d.Dim : (i+1)*d.Dim], d.Labels[i]
-}
-
 // Batch gathers the given sample indices into freshly allocated buffers.
 func (d *Dataset) Batch(indices []int) ([]float32, []int) {
 	return d.BatchInto(nil, nil, indices)
@@ -95,15 +90,6 @@ type Config struct {
 	LabelNoise float64 // probability a label is replaced uniformly
 	MaskFrac   float64 // fraction of features zeroed per sample (BERT-style masking)
 	Seed       int64
-}
-
-// Generate builds a dataset from the config. Prototypes are drawn once
-// from the seed, so two datasets generated with the same seed (e.g. train
-// and test splits via SplitSeed) share class structure.
-func Generate(cfg Config) *Dataset {
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	protos := prototypes(rng, cfg.Classes, cfg.Dim)
-	return sampleFrom(rng, protos, cfg)
 }
 
 // GeneratePair builds a train and a test dataset sharing the same class

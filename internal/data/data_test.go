@@ -6,8 +6,8 @@ import (
 
 func TestGenerateDeterministic(t *testing.T) {
 	cfg := Config{N: 50, Dim: 8, Classes: 4, Noise: 0.5, Seed: 7}
-	a := Generate(cfg)
-	b := Generate(cfg)
+	a, _ := GeneratePair(cfg, 0)
+	b, _ := GeneratePair(cfg, 0)
 	for i := range a.X {
 		if a.X[i] != b.X[i] {
 			t.Fatal("feature generation not deterministic")
@@ -21,8 +21,8 @@ func TestGenerateDeterministic(t *testing.T) {
 }
 
 func TestGenerateSeedChangesData(t *testing.T) {
-	a := Generate(Config{N: 10, Dim: 4, Classes: 2, Noise: 0.5, Seed: 1})
-	b := Generate(Config{N: 10, Dim: 4, Classes: 2, Noise: 0.5, Seed: 2})
+	a, _ := GeneratePair(Config{N: 10, Dim: 4, Classes: 2, Noise: 0.5, Seed: 1}, 0)
+	b, _ := GeneratePair(Config{N: 10, Dim: 4, Classes: 2, Noise: 0.5, Seed: 2}, 0)
 	same := true
 	for i := range a.X {
 		if a.X[i] != b.X[i] {
@@ -36,7 +36,7 @@ func TestGenerateSeedChangesData(t *testing.T) {
 }
 
 func TestLabelsInRange(t *testing.T) {
-	d := Generate(Config{N: 100, Dim: 4, Classes: 7, Noise: 1, LabelNoise: 0.5, Seed: 3})
+	d, _ := GeneratePair(Config{N: 100, Dim: 4, Classes: 7, Noise: 1, LabelNoise: 0.5, Seed: 3}, 0)
 	for _, l := range d.Labels {
 		if l < 0 || l >= 7 {
 			t.Fatalf("label %d out of range", l)
@@ -45,7 +45,7 @@ func TestLabelsInRange(t *testing.T) {
 }
 
 func TestClassBalance(t *testing.T) {
-	d := Generate(Config{N: 1000, Dim: 4, Classes: 10, Noise: 0.1, Seed: 4})
+	d, _ := GeneratePair(Config{N: 1000, Dim: 4, Classes: 10, Noise: 0.1, Seed: 4}, 0)
 	counts := make([]int, 10)
 	for _, l := range d.Labels {
 		counts[l]++
@@ -96,7 +96,7 @@ func classMeans(d *Dataset) [][]float32 {
 		means[c] = make([]float32, d.Dim)
 	}
 	for i := 0; i < d.N; i++ {
-		x, l := d.Sample(i)
+		x, l := d.X[i*d.Dim:(i+1)*d.Dim], d.Labels[i]
 		counts[l]++
 		for j, v := range x {
 			means[l][j] += v
@@ -122,7 +122,7 @@ func TestShardPartition(t *testing.T) {
 	for _, tc := range []struct{ n, size int }{
 		{103, 4}, {1000, 64}, {64, 64}, {65, 64}, {7, 3}, {512, 1}, {100, 100},
 	} {
-		d := Generate(Config{N: tc.n, Dim: 2, Classes: 3, Noise: 0.1, Seed: 6})
+		d, _ := GeneratePair(Config{N: tc.n, Dim: 2, Classes: 3, Noise: 0.1, Seed: 6}, 0)
 		total := 0
 		minN, maxN := tc.n, 0
 		cursor := 0
@@ -154,7 +154,7 @@ func TestShardPartition(t *testing.T) {
 }
 
 func TestShardViewsParent(t *testing.T) {
-	d := Generate(Config{N: 10, Dim: 2, Classes: 2, Noise: 0.1, Seed: 8})
+	d, _ := GeneratePair(Config{N: 10, Dim: 2, Classes: 2, Noise: 0.1, Seed: 8}, 0)
 	s := d.Shard(1, 2)
 	s.X[0] = 42
 	if d.X[5*2] != 42 {
@@ -163,12 +163,12 @@ func TestShardViewsParent(t *testing.T) {
 }
 
 func TestBatchGathers(t *testing.T) {
-	d := Generate(Config{N: 10, Dim: 3, Classes: 2, Noise: 0.1, Seed: 9})
+	d, _ := GeneratePair(Config{N: 10, Dim: 3, Classes: 2, Noise: 0.1, Seed: 9}, 0)
 	x, labels := d.Batch([]int{2, 7})
 	if len(x) != 6 || len(labels) != 2 {
 		t.Fatalf("batch sizes: %d features, %d labels", len(x), len(labels))
 	}
-	want, wl := d.Sample(7)
+	want, wl := d.X[7*3:8*3], d.Labels[7]
 	for i := range want {
 		if x[3+i] != want[i] {
 			t.Fatal("batch content mismatch")

@@ -76,7 +76,7 @@ func finiteDiffHessian(m *softmaxModel, x []float32, labels []int, batch int, ep
 }
 
 func smallProblem(seed int64, n int) (*softmaxModel, []float32, []int) {
-	d := data.Generate(data.Config{N: n, Dim: 5, Classes: 3, Noise: 0.8, Seed: seed})
+	d, _ := data.GeneratePair(data.Config{N: n, Dim: 5, Classes: 3, Noise: 0.8, Seed: seed}, 0)
 	m := newSoftmaxModel(5, 3)
 	rng := rand.New(rand.NewSource(seed + 1))
 	for i := range m.w {
@@ -176,7 +176,7 @@ func TestSequentialPairCombineFirstOrder(t *testing.T) {
 	g2, h2, _ := m.gradientAndHessian(x[4*5:], labels[4:], 4)
 	out := sequentialPairCombine(gradHess{g1, h1}, gradHess{g2, h2}, 0)
 	want := make([]float32, len(g1))
-	tensor.Add(want, g1, g2)
+	tensor.ScaledCombine(want, 1, g1, 1, g2)
 	if !tensor.Equal(out.g, want, 1e-6) {
 		t.Fatalf("alpha=0 combine is not the sum")
 	}
@@ -201,7 +201,7 @@ func TestSequentialPairCombineMatchesTrueSequential(t *testing.T) {
 	}
 	g2w1, _ := seq.gradient(x2, l2, 4)
 	trueTotal := make([]float32, len(g1))
-	tensor.Add(trueTotal, g1, g2w1)
+	tensor.ScaledCombine(trueTotal, 1, g1, 1, g2w1)
 
 	// Taylor emulation of the same order.
 	h2g1 := matVec(h2, g1)
@@ -213,7 +213,7 @@ func TestSequentialPairCombineMatchesTrueSequential(t *testing.T) {
 	emulErr := tensor.RelErr(emul, trueTotal)
 	naiveErr := tensor.RelErr(func() []float32 {
 		s := make([]float32, len(g1))
-		tensor.Add(s, g1, g2w0)
+		tensor.ScaledCombine(s, 1, g1, 1, g2w0)
 		return s
 	}(), trueTotal)
 	if emulErr >= naiveErr {
@@ -257,7 +257,7 @@ func TestAdasumCloserToReferenceThanSum(t *testing.T) {
 	// paper's derivation assumes (α ≈ 1/‖g‖², Appendix A.2), Adasum's
 	// distance to the exact-Hessian sequential emulation is on average
 	// below synchronous SGD's.
-	train := data.Generate(data.Config{N: 512, Dim: 16, Classes: 4, Noise: 1.0, Seed: 10})
+	train, _ := data.GeneratePair(data.Config{N: 512, Dim: 16, Classes: 4, Noise: 1.0, Seed: 10}, 0)
 	m := newSoftmaxModel(train.Dim, train.Classes)
 	rng := rand.New(rand.NewSource(11))
 	for i := range m.w {

@@ -17,13 +17,6 @@ import "math"
 // they run the tail the vector loop leaves and every build without the
 // assembly.
 
-// Encode converts a float32 slice into a freshly allocated half slice.
-func Encode(src []float32) []Bits {
-	dst := make([]Bits, len(src))
-	EncodeInto(dst, src)
-	return dst
-}
-
 // EncodeInto converts src into dst, which must have the same length.
 //
 //adasum:noalloc
@@ -32,13 +25,6 @@ func EncodeInto(dst []Bits, src []float32) {
 		panic("float16: EncodeInto length mismatch")
 	}
 	encodeInto(dst, src)
-}
-
-// Decode converts a half slice into a freshly allocated float32 slice.
-func Decode(src []Bits) []float32 {
-	dst := make([]float32, len(src))
-	DecodeInto(dst, src)
-	return dst
 }
 
 // DecodeInto converts src into dst, which must have the same length.

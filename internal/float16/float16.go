@@ -52,9 +52,9 @@ const (
 // 23 the implicit-bit addend for subnormal halves, positioned so it
 // adds onto the 23-bit float32 fraction directly. One packed entry
 // instead of three parallel tables keeps FromFloat32 to a single load
-// and under the compiler's inlining budget, so the twins' loops and
-// adasum.CombineF16 inline the conversion (DESIGN.md "Half-precision
-// kernels" has the per-element cost of both paths).
+// and under the compiler's inlining budget, so the twins' loops inline
+// the conversion (DESIGN.md "Half-precision kernels" has the per-element
+// cost of both paths).
 //
 // The tables are built at init from the reference conversions, so they
 // are exact by construction; the test suite additionally pins the fast
@@ -167,60 +167,4 @@ func toFloat32Ref(h Bits) float32 {
 		e := exp - expBias + 127
 		return math.Float32frombits(sign | (e << 23) | (frac << 13))
 	}
-}
-
-// IsNaN reports whether h encodes a NaN.
-func (h Bits) IsNaN() bool { return h&expMask == expMask && h&fracMask != 0 }
-
-// IsInf reports whether h encodes ±infinity.
-func (h Bits) IsInf() bool { return h&expMask == expMask && h&fracMask == 0 }
-
-// IsFinite reports whether h is neither NaN nor infinite.
-func (h Bits) IsFinite() bool { return h&expMask != expMask }
-
-// Dot computes the inner product of two half slices with float64
-// accumulation, the precision discipline §4.4.1 calls out as "crucial for
-// the improved convergence of Adasum".
-func Dot(a, b []Bits) float64 {
-	if len(a) != len(b) {
-		panic("float16: Dot length mismatch")
-	}
-	var s float64
-	for i := range a {
-		s += float64(ToFloat32(a[i])) * float64(ToFloat32(b[i]))
-	}
-	return s
-}
-
-// Norm2 computes the squared norm of a half slice with float64
-// accumulation.
-func Norm2(a []Bits) float64 {
-	var s float64
-	for _, v := range a {
-		f := float64(ToFloat32(v))
-		s += f * f
-	}
-	return s
-}
-
-// DotNorms computes a·b, ‖a‖² and ‖b‖² in a single pass with float64
-// accumulation, decoding each half value once instead of twice (the
-// software decode dominates fp16 kernel cost, so the fusion matters more
-// here than for float32). It mirrors tensor.DotNorms for the fp16 path of
-// the Adasum combiner and is bitwise-identical to the unfused Dot/Norm2
-// sequence: the accumulation order per quantity is unchanged.
-//
-//adasum:noalloc
-func DotNorms(a, b []Bits) (dot, na, nb float64) {
-	if len(a) != len(b) {
-		panic("float16: DotNorms length mismatch")
-	}
-	for i := range a {
-		x := float64(ToFloat32(a[i]))
-		y := float64(ToFloat32(b[i]))
-		dot += x * y
-		na += x * x
-		nb += y * y
-	}
-	return dot, na, nb
 }

@@ -76,19 +76,20 @@ func TestInfNaN(t *testing.T) {
 		t.Fatalf("-inf -> %#04x", got)
 	}
 	n := FromFloat32(float32(math.NaN()))
-	if !n.IsNaN() {
+	if !isNaN(n) {
 		t.Fatalf("NaN -> %#04x, not NaN", n)
 	}
 	if !math.IsNaN(float64(ToFloat32(NaN))) {
 		t.Fatal("ToFloat32(NaN) is not NaN")
 	}
-	if !PositiveInf.IsInf() || NaN.IsInf() {
-		t.Fatal("IsInf misclassification")
-	}
-	if PositiveInf.IsFinite() || NaN.IsFinite() || FromFloat32(1).IsNaN() {
-		t.Fatal("IsFinite/IsNaN misclassification")
+	if !math.IsInf(float64(ToFloat32(PositiveInf)), 1) || !math.IsInf(float64(ToFloat32(NegativeInf)), -1) {
+		t.Fatal("ToFloat32 of an infinity is not infinite")
 	}
 }
+
+// isNaN reports whether h encodes a NaN: an all-ones exponent with a
+// non-zero fraction.
+func isNaN(h Bits) bool { return h&expMask == expMask && h&fracMask != 0 }
 
 func TestRoundToNearestEven(t *testing.T) {
 	// 1 + 2^-11 is exactly halfway between 1 and 1+2^-10; must round to
@@ -109,7 +110,7 @@ func TestRoundTripAllHalves(t *testing.T) {
 	// Every finite half must survive half -> float32 -> half exactly.
 	for b := 0; b < 1<<16; b++ {
 		h := Bits(b)
-		if h.IsNaN() {
+		if isNaN(h) {
 			continue
 		}
 		f := ToFloat32(h)
@@ -154,54 +155,13 @@ func TestConversionErrorBound(t *testing.T) {
 
 func TestSliceCodecs(t *testing.T) {
 	src := []float32{0, 1, -2, 0.25, 1000}
-	enc := Encode(src)
-	dec := Decode(enc)
-	for i := range src {
-		if dec[i] != src[i] {
-			t.Fatalf("codec[%d] = %v, want %v", i, dec[i], src[i])
-		}
-	}
 	dst := make([]Bits, len(src))
 	EncodeInto(dst, src)
 	out := make([]float32, len(src))
 	DecodeInto(out, dst)
 	for i := range src {
 		if out[i] != src[i] {
-			t.Fatalf("Into codec[%d] = %v, want %v", i, out[i], src[i])
-		}
-	}
-}
-
-func TestDotNorm2Float64Accumulation(t *testing.T) {
-	// 4096 halves of value 0.25 dotted with themselves: each term is
-	// 0.0625, total 256. A half accumulator would saturate resolution;
-	// the float64 accumulator is exact.
-	n := 4096
-	a := make([]Bits, n)
-	for i := range a {
-		a[i] = FromFloat32(0.25)
-	}
-	if got := Dot(a, a); got != 256 {
-		t.Fatalf("Dot = %v, want 256", got)
-	}
-	if got := Norm2(a); got != 256 {
-		t.Fatalf("Norm2 = %v, want 256", got)
-	}
-}
-
-func TestDotNormsMatchesUnfusedF16(t *testing.T) {
-	rng := rand.New(rand.NewSource(44))
-	for _, n := range []int{0, 1, 5, 64, 1000} {
-		a := make([]Bits, n)
-		b := make([]Bits, n)
-		for i := range a {
-			a[i] = FromFloat32(rng.Float32() - 0.5)
-			b[i] = FromFloat32(rng.Float32() - 0.5)
-		}
-		dot, na, nb := DotNorms(a, b)
-		// Same accumulation order as the unfused kernels: bitwise equal.
-		if dot != Dot(a, b) || na != Norm2(a) || nb != Norm2(b) {
-			t.Errorf("n=%d: fused fp16 kernel deviates from unfused", n)
+			t.Fatalf("codec[%d] = %v, want %v", i, out[i], src[i])
 		}
 	}
 }

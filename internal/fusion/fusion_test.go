@@ -104,7 +104,7 @@ func TestFusedAdasumEqualsPerTensor(t *testing.T) {
 	want := make([][]float32, len(sizes))
 	for i := range sizes {
 		want[i] = make([]float32, sizes[i])
-		adasum.Combine(want[i], a[i], b[i])
+		adasum.CombineFused(want[i], a[i], b[i])
 	}
 
 	ga := Fuse(a, names, 1<<20)[0]

@@ -79,40 +79,6 @@ func (t *Tanh) Backward(dy []float32, batch int) []float32 {
 	return t.dx
 }
 
-// Sigmoid is the logistic activation.
-type Sigmoid struct {
-	name string
-	dim  int
-	y    []float32
-	dx   []float32
-}
-
-// NewSigmoid creates a Sigmoid over per-sample dimension dim.
-func NewSigmoid(name string, dim int) *Sigmoid { return &Sigmoid{name: name, dim: dim} }
-
-func (s *Sigmoid) Name() string        { return s.name }
-func (s *Sigmoid) InDim() int          { return s.dim }
-func (s *Sigmoid) OutDim() int         { return s.dim }
-func (s *Sigmoid) ParamSize() int      { return 0 }
-func (s *Sigmoid) Bind(_, _ []float32) {}
-func (s *Sigmoid) Init(_ *rand.Rand)   {}
-
-func (s *Sigmoid) Forward(x []float32, batch int) []float32 {
-	s.y = buf(s.y, len(x))
-	for i, v := range x {
-		s.y[i] = float32(1 / (1 + math.Exp(-float64(v))))
-	}
-	return s.y
-}
-
-func (s *Sigmoid) Backward(dy []float32, batch int) []float32 {
-	s.dx = buf(s.dx, len(dy))
-	for i, y := range s.y {
-		s.dx[i] = dy[i] * y * (1 - y)
-	}
-	return s.dx
-}
-
 // LayerNorm normalizes each sample to zero mean and unit variance, then
 // applies a learned affine transform: y = gamma*(x-mu)/sigma + beta.
 // Parameters are [gamma(dim), beta(dim)].

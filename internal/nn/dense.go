@@ -10,9 +10,8 @@ import (
 // Dense is a fully connected layer: y = xW^T + b, with W stored row-major
 // [out][in] followed by the bias [out] in the flat parameter slice.
 type Dense struct {
-	name     string
-	in, out  int
-	withBias bool
+	name    string
+	in, out int
 
 	w, b   []float32 // views into the bound parameter slice
 	gw, gb []float32 // views into the bound gradient slice
@@ -30,36 +29,21 @@ type Dense struct {
 
 // NewDense creates a fully connected layer with bias.
 func NewDense(name string, in, out int) *Dense {
-	return &Dense{name: name, in: in, out: out, withBias: true}
-}
-
-// NewDenseNoBias creates a fully connected layer without bias.
-func NewDenseNoBias(name string, in, out int) *Dense {
-	return &Dense{name: name, in: in, out: out, withBias: false}
+	return &Dense{name: name, in: in, out: out}
 }
 
 func (d *Dense) Name() string { return d.name }
 func (d *Dense) InDim() int   { return d.in }
 func (d *Dense) OutDim() int  { return d.out }
 
-func (d *Dense) ParamSize() int {
-	n := d.in * d.out
-	if d.withBias {
-		n += d.out
-	}
-	return n
-}
+func (d *Dense) ParamSize() int { return d.in*d.out + d.out }
 
 func (d *Dense) Bind(params, grads []float32) {
 	if len(params) != d.ParamSize() || len(grads) != d.ParamSize() {
 		panic(fmt.Sprintf("nn: Dense %s bind size mismatch", d.name))
 	}
-	d.w = params[:d.in*d.out]
-	d.gw = grads[:d.in*d.out]
-	if d.withBias {
-		d.b = params[d.in*d.out:]
-		d.gb = grads[d.in*d.out:]
-	}
+	d.w, d.b = params[:d.in*d.out], params[d.in*d.out:]
+	d.gw, d.gb = grads[:d.in*d.out], grads[d.in*d.out:]
 }
 
 func (d *Dense) Init(rng *rand.Rand) {
@@ -106,9 +90,7 @@ func (d *Dense) Backward(dy []float32, batch int) []float32 {
 			}
 			tensor.Axpy(g, row, d.dx[s*d.in:(s+1)*d.in])
 			tensor.Axpy(g, d.x[s*d.in:(s+1)*d.in], grow)
-			if d.withBias {
-				d.gb[o] += g
-			}
+			d.gb[o] += g
 		}
 	}
 	return d.dx

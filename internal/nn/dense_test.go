@@ -28,10 +28,7 @@ func denseForwardRef(w, b, x []float32, batch, in, out int) []float32 {
 			for ; i < in; i++ {
 				acc += row[i] * xi[i]
 			}
-			if b != nil {
-				acc += b[o]
-			}
-			yi[o] = acc
+			yi[o] = acc + b[o]
 		}
 	}
 	return y
@@ -55,9 +52,7 @@ func denseBackwardRef(w, x, dy, gw, gb []float32, batch, in, out int) []float32 
 				dxi[i] += g * row[i]
 				grow[i] += g * xi[i]
 			}
-			if gb != nil {
-				gb[o] += g
-			}
+			gb[o] += g
 		}
 	}
 	return dx
@@ -94,51 +89,40 @@ func denseInput(rng *rand.Rand, batch, dim int, kind string) []float32 {
 
 func TestDenseMatchesScalarOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	for _, withBias := range []bool{true, false} {
-		for _, in := range []int{1, 3, 4, 5, 48, 128, 256} {
-			for _, out := range []int{1, 7, 16} {
-				d := NewDense("fc", in, out)
-				if !withBias {
-					d = NewDenseNoBias("fc", in, out)
-				}
-				net := NewNetwork(d)
-				net.Init(rng)
-				if withBias {
-					for i := range d.b {
-						d.b[i] = float32(rng.NormFloat64())
+	for _, in := range []int{1, 3, 4, 5, 48, 128, 256} {
+		for _, out := range []int{1, 7, 16} {
+			d := NewDense("fc", in, out)
+			net := NewNetwork(d)
+			net.Init(rng)
+			for i := range d.b {
+				d.b[i] = float32(rng.NormFloat64())
+			}
+			// One network across all batch sizes, ascending and then
+			// back down, so reused (and over-long) buffers are covered.
+			for _, batch := range []int{1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 33, 256, 5, 1} {
+				for _, kind := range []string{"gaussian", "relu-sparse", "zero-rows"} {
+					what := fmt.Sprintf("in=%d out=%d batch=%d %s", in, out, batch, kind)
+					x := denseInput(rng, batch, in, kind)
+					dy := denseInput(rng, batch, out, kind)
+
+					y := net.Forward(x, batch)
+					if i := sameBits(y, denseForwardRef(d.w, d.b, x, batch, in, out)); i >= 0 {
+						t.Fatalf("%s: Forward differs from the scalar loop at output %d", what, i)
 					}
-				}
-				// One network across all batch sizes, ascending and then
-				// back down, so reused (and over-long) buffers are covered.
-				for _, batch := range []int{1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 33, 256, 5, 1} {
-					for _, kind := range []string{"gaussian", "relu-sparse", "zero-rows"} {
-						what := fmt.Sprintf("bias=%v in=%d out=%d batch=%d %s", withBias, in, out, batch, kind)
-						x := denseInput(rng, batch, in, kind)
-						dy := denseInput(rng, batch, out, kind)
 
-						y := net.Forward(x, batch)
-						if i := sameBits(y, denseForwardRef(d.w, d.b, x, batch, in, out)); i >= 0 {
-							t.Fatalf("%s: Forward differs from the scalar loop at output %d", what, i)
-						}
-
-						// Accumulate on top of a non-zero gradient, as
-						// gradient accumulation does.
-						for i := range net.grads {
-							net.grads[i] = float32(rng.NormFloat64())
-						}
-						wantG := append([]float32(nil), net.grads...)
-						var wantGB []float32
-						if withBias {
-							wantGB = wantG[in*out:]
-						}
-						wantDX := denseBackwardRef(d.w, x, dy, wantG[:in*out], wantGB, batch, in, out)
-						dx := d.Backward(dy, batch)
-						if i := sameBits(dx, wantDX); i >= 0 {
-							t.Fatalf("%s: Backward dx differs from the scalar loop at %d", what, i)
-						}
-						if i := sameBits(net.grads, wantG); i >= 0 {
-							t.Fatalf("%s: Backward gradient differs from the scalar loop at %d", what, i)
-						}
+					// Accumulate on top of a non-zero gradient, as
+					// gradient accumulation does.
+					for i := range net.grads {
+						net.grads[i] = float32(rng.NormFloat64())
+					}
+					wantG := append([]float32(nil), net.grads...)
+					wantDX := denseBackwardRef(d.w, x, dy, wantG[:in*out], wantG[in*out:], batch, in, out)
+					dx := d.Backward(dy, batch)
+					if i := sameBits(dx, wantDX); i >= 0 {
+						t.Fatalf("%s: Backward dx differs from the scalar loop at %d", what, i)
+					}
+					if i := sameBits(net.grads, wantG); i >= 0 {
+						t.Fatalf("%s: Backward gradient differs from the scalar loop at %d", what, i)
 					}
 				}
 			}

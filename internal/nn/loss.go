@@ -11,10 +11,10 @@ func SoftmaxCrossEntropy(logits []float32, labels []int, batch, classes int) (fl
 	return softmaxCE(logits, labels, batch, classes, grad), grad
 }
 
-// softmaxCE returns the loss and, when grad is non-nil, overwrites grad
-// (batch*classes values) with dLoss/dLogits.
+// softmaxCE returns the loss and overwrites grad (batch*classes values)
+// with dLoss/dLogits.
 func softmaxCE(logits []float32, labels []int, batch, classes int, grad []float32) float64 {
-	if len(logits) != batch*classes || len(labels) != batch || (grad != nil && len(grad) != batch*classes) {
+	if len(logits) != batch*classes || len(labels) != batch || len(grad) != batch*classes {
 		panic("nn: SoftmaxCrossEntropy size mismatch")
 	}
 	var total float64
@@ -35,31 +35,12 @@ func softmaxCE(logits []float32, labels []int, batch, classes int, grad []float3
 		lbl := labels[s]
 		logp := float64(row[lbl]-maxv) - math.Log(sum)
 		total -= logp
-		if grad != nil {
-			g := grad[s*classes : (s+1)*classes]
-			for c := 0; c < classes; c++ {
-				p := math.Exp(float64(row[c]-maxv)) / sum
-				g[c] = float32(p * inv)
-			}
-			g[lbl] -= float32(inv)
+		g := grad[s*classes : (s+1)*classes]
+		for c := 0; c < classes; c++ {
+			p := math.Exp(float64(row[c]-maxv)) / sum
+			g[c] = float32(p * inv)
 		}
+		g[lbl] -= float32(inv)
 	}
 	return total * inv
-}
-
-// MSE computes the mean squared error 0.5*mean(‖y-target‖²) and its
-// gradient dLoss/dY = (y-target)/batch.
-func MSE(y, target []float32, batch, dim int) (float64, []float32) {
-	if len(y) != batch*dim || len(target) != batch*dim {
-		panic("nn: MSE size mismatch")
-	}
-	grad := make([]float32, len(y))
-	var total float64
-	inv := 1 / float64(batch)
-	for i := range y {
-		d := float64(y[i]) - float64(target[i])
-		total += 0.5 * d * d
-		grad[i] = float32(d * inv)
-	}
-	return total * inv, grad
 }

@@ -190,12 +190,6 @@ func (n *Network) Gradient(x []float32, labels []int, batch int) float64 {
 	return loss
 }
 
-// Loss computes the mean cross-entropy without touching gradients.
-func (n *Network) Loss(x []float32, labels []int, batch int) float64 {
-	logits := n.Forward(x, batch)
-	return softmaxCE(logits, labels, batch, n.OutDim(), nil)
-}
-
 // Accuracy returns the fraction of samples whose argmax logit matches the
 // label.
 func (n *Network) Accuracy(x []float32, labels []int, batch int) float64 {

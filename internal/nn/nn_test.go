@@ -15,13 +15,19 @@ func numGrad(net *Network, x []float32, labels []int, batch int) []float32 {
 	for i := range params {
 		old := params[i]
 		params[i] = old + eps
-		lp := net.Loss(x, labels, batch)
+		lp := loss(net, x, labels, batch)
 		params[i] = old - eps
-		lm := net.Loss(x, labels, batch)
+		lm := loss(net, x, labels, batch)
 		params[i] = old
 		out[i] = float32((lp - lm) / (2 * eps))
 	}
 	return out
+}
+
+// loss is the network's mean cross-entropy on a batch.
+func loss(net *Network, x []float32, labels []int, batch int) float64 {
+	l, _ := SoftmaxCrossEntropy(net.Forward(x, batch), labels, batch, net.OutDim())
+	return l
 }
 
 // checkGrads compares analytic and numeric gradients with a mixed
@@ -65,14 +71,6 @@ func TestDenseGradient(t *testing.T) {
 	checkGrads(t, net, x, labels, 5, 1e-2)
 }
 
-func TestDenseNoBiasGradient(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	net := NewNetwork(NewDenseNoBias("fc", 6, 3))
-	net.Init(rng)
-	x, labels := randomBatch(rng, 4, 6, 3)
-	checkGrads(t, net, x, labels, 4, 1e-2)
-}
-
 func TestMLPGradient(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	net := NewMLP(8, 16, 6, 3)
@@ -81,14 +79,12 @@ func TestMLPGradient(t *testing.T) {
 	checkGrads(t, net, x, labels, 6, 1e-2)
 }
 
-func TestTanhSigmoidGradient(t *testing.T) {
+func TestTanhGradient(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	net := NewNetwork(
 		NewDense("fc1", 5, 8),
 		NewTanh("t", 8),
-		NewDense("fc2", 8, 8),
-		NewSigmoid("s", 8),
-		NewDense("fc3", 8, 3),
+		NewDense("fc2", 8, 3),
 	)
 	net.Init(rng)
 	x, labels := randomBatch(rng, 4, 5, 3)
@@ -211,18 +207,6 @@ func TestSoftmaxNumericalStability(t *testing.T) {
 	}
 }
 
-func TestMSE(t *testing.T) {
-	y := []float32{1, 2}
-	target := []float32{0, 0}
-	loss, grad := MSE(y, target, 1, 2)
-	if math.Abs(loss-2.5) > 1e-6 { // 0.5*(1+4)
-		t.Fatalf("MSE loss = %v, want 2.5", loss)
-	}
-	if grad[0] != 1 || grad[1] != 2 {
-		t.Fatalf("MSE grad = %v", grad)
-	}
-}
-
 func TestGradientAccumulation(t *testing.T) {
 	// Two Backward calls without ZeroGrads must accumulate.
 	rng := rand.New(rand.NewSource(12))
@@ -301,14 +285,14 @@ func TestTrainingReducesLoss(t *testing.T) {
 			x[s*4+d] = float32(cls)*2 - 1 + (rng.Float32()-0.5)*0.2
 		}
 	}
-	before := net.Loss(x, labels, 32)
+	before := loss(net, x, labels, 32)
 	for it := 0; it < 50; it++ {
 		net.Gradient(x, labels, 32)
 		for i, g := range net.Grads() {
 			net.Params()[i] -= 0.5 * g
 		}
 	}
-	after := net.Loss(x, labels, 32)
+	after := loss(net, x, labels, 32)
 	if after >= before/2 {
 		t.Fatalf("loss did not drop: %v -> %v", before, after)
 	}

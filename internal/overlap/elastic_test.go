@@ -63,11 +63,11 @@ func TestRebindReducesOnSurvivors(t *testing.T) {
 	w.Reset()
 	survivors := collective.Group{0, 1, 2}
 	for _, r := range survivors {
-		if engines[r].Strategy() != collective.StrategyRVH {
-			t.Fatalf("engine %d strategy %v before rebind", r, engines[r].Strategy())
+		if engines[r].strategy != collective.StrategyRVH {
+			t.Fatalf("engine %d strategy %v before rebind", r, engines[r].strategy)
 		}
 		engines[r].Rebind(survivors)
-		if engines[r].Strategy() != collective.StrategyTree {
+		if engines[r].strategy != collective.StrategyTree {
 			t.Fatalf("engine %d did not fall back to the parity tree on a non-power-of-two group", r)
 		}
 	}
@@ -102,7 +102,7 @@ func TestRebindDropsHierarchyWhenIndivisible(t *testing.T) {
 			FusionBytes: 512 * 4, Strategy: collective.StrategyTree, Overlap: true,
 			Hierarchy: []int{4},
 		})
-		if !engines[r].Hierarchical() {
+		if len(engines[r].hier) == 0 {
 			t.Fatal("hierarchy not active at construction")
 		}
 	}
@@ -121,7 +121,7 @@ func TestRebindDropsHierarchyWhenIndivisible(t *testing.T) {
 	survivors := collective.Group{0, 1, 2, 3, 4, 6, 7}
 	for _, r := range survivors {
 		engines[r].Rebind(survivors)
-		if engines[r].Hierarchical() {
+		if len(engines[r].hier) > 0 {
 			t.Fatalf("engine %d kept a 4-wide hierarchy over 7 ranks", r)
 		}
 	}

@@ -252,16 +252,6 @@ func New(opt Options) *Engine {
 	}
 }
 
-// Group returns the group the engine currently reduces over.
-func (e *Engine) Group() collective.Group { return e.opt.Group }
-
-// Strategy returns the effective per-bucket algorithm for the current
-// group (Rebind may have downgraded an RVH configuration).
-func (e *Engine) Strategy() collective.Strategy { return e.strategy }
-
-// Hierarchical reports whether buckets currently reduce hierarchically.
-func (e *Engine) Hierarchical() bool { return len(e.hier) > 0 }
-
 // Rebind replaces the engine's group — the survivor set after an
 // elastic reshape — making the previously implicit lifetime of the
 // cached communicator prototype explicit: the prototype and every slot
@@ -338,14 +328,7 @@ func (e *Engine) Step(p *comm.Proc, x []float32) {
 	// this rank's Run slot and could observe the World mid-Reset during
 	// an elastic rebuild. Draining is deadlock-free — every launched op
 	// is eventually unblocked by completion or by a dead peer's latch.
-	defer func() { //adasum:alloc ok open-coded defer: closure and record stay on the stack (0 allocs/op bench-pinned)
-		if rec := recover(); rec != nil {
-			for _, op := range e.pending {
-				op.h.Drain()
-			}
-			panic(rec)
-		}
-	}()
+	defer e.drainOnPanic()
 	// The straggler model scales this rank's whole-step compute: skew is
 	// a property of the rank, jitter of the (rank, step) pair.
 	scale := e.opt.Faults.ComputeScale(p.Rank(), e.stepIdx)
@@ -384,6 +367,20 @@ func (e *Engine) Step(p *comm.Proc, x []float32) {
 		}
 		p.ComputeMemCopy(op.g.Bytes())
 		op.g.Unfuse(e.slices)
+	}
+}
+
+// drainOnPanic is Step's deferred guard: on a panic it drains every
+// launched bucket op, then re-raises. It calls recover itself, which
+// works because it is the deferred call.
+//
+//adasum:noalloc
+func (e *Engine) drainOnPanic() {
+	if rec := recover(); rec != nil {
+		for _, op := range e.pending {
+			op.h.Drain()
+		}
+		panic(rec)
 	}
 }
 

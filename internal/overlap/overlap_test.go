@@ -109,7 +109,7 @@ func TestRingEngineMatchesMean(t *testing.T) {
 	layout := testLayout()
 	const ranks = 6
 	grads := randGrads(ranks, layout, 3)
-	want := adasum.MeanReduce(grads)
+	want := adasum.NewReducer().MeanReduce(grads)
 	opt := Options{
 		Group: collective.WorldGroup(ranks), Layout: layout,
 		Strategy: collective.StrategyRing, Overlap: true, FusionBytes: 1 << 12,

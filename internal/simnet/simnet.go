@@ -43,14 +43,6 @@ func (t Topology) Node(r int) int {
 // SameNode reports whether ranks a and b share a node.
 func (t Topology) SameNode(a, b int) bool { return t.Node(a) == t.Node(b) }
 
-// Nodes returns the number of nodes in the topology.
-func (t Topology) Nodes() int {
-	if t.GPUsPerNode <= 0 {
-		return t.Ranks
-	}
-	return (t.Ranks + t.GPUsPerNode - 1) / t.GPUsPerNode
-}
-
 // Rack returns the rack index hosting rank r (0 when the rack tier is
 // disabled).
 func (t Topology) Rack(r int) int {
@@ -198,7 +190,3 @@ func Uniform(ranks int, alpha, beta float64) *Model {
 		MemCopyBeta: 0,
 	}
 }
-
-// Zero builds a free network (all costs zero), used when only numerical
-// results matter and simulated time is irrelevant.
-func Zero(ranks int) *Model { return Uniform(ranks, 0, 0) }

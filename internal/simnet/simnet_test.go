@@ -13,14 +13,11 @@ func TestTopologyPlacement(t *testing.T) {
 	if !topo.SameNode(0, 3) || topo.SameNode(3, 4) {
 		t.Fatal("SameNode wrong")
 	}
-	if topo.Nodes() != 2 {
-		t.Fatalf("Nodes = %d", topo.Nodes())
-	}
 }
 
 func TestTopologyDegenerate(t *testing.T) {
 	topo := Topology{Ranks: 3, GPUsPerNode: 0}
-	if topo.Node(2) != 2 || topo.Nodes() != 3 {
+	if topo.Node(2) != 2 || topo.SameNode(1, 2) {
 		t.Fatal("zero GPUsPerNode should mean one rank per node")
 	}
 }
@@ -76,9 +73,9 @@ func TestUniformAndZero(t *testing.T) {
 	if u.Transfer(0, 1, 100) != u.Transfer(0, 3, 100) {
 		t.Fatal("uniform model not uniform")
 	}
-	z := Zero(4)
+	z := Uniform(4, 0, 0)
 	if z.Transfer(0, 1, 1<<20) != 0 {
-		t.Fatal("zero model charges for transfers")
+		t.Fatal("zero-cost uniform model charges for transfers")
 	}
 }
 

@@ -129,15 +129,6 @@ func dotNormsGeneric(a, b []float32) (dot, na, nb float64) {
 	return d0 + d1 + d2 + d3, x0 + x1 + x2 + x3, y0 + y1 + y2 + y3
 }
 
-// Sum returns the sum of the elements of a accumulated in float64.
-func Sum(a []float32) float64 {
-	var s float64
-	for _, v := range a {
-		s += float64(v)
-	}
-	return s
-}
-
 // Axpy computes y += alpha*x in place. It panics on length mismatch.
 // x and y must not overlap (no caller passes overlapping slices).
 //
@@ -180,18 +171,6 @@ func Scale(alpha float32, x []float32) {
 	}
 	for ; i < n; i++ {
 		x[i] *= alpha
-	}
-}
-
-// Add computes dst[i] = a[i] + b[i]. dst may alias a or b.
-//
-//adasum:noalloc
-func Add(dst, a, b []float32) {
-	if len(a) != len(b) || len(dst) != len(a) {
-		panic("tensor: Add length mismatch")
-	}
-	for i := range dst {
-		dst[i] = a[i] + b[i]
 	}
 }
 
@@ -254,33 +233,11 @@ func Zero(x []float32) {
 	}
 }
 
-// Fill sets every element of x to v.
-func Fill(x []float32, v float32) {
-	for i := range x {
-		x[i] = v
-	}
-}
-
 // Clone returns a freshly allocated copy of x.
 func Clone(x []float32) []float32 {
 	c := make([]float32, len(x))
 	copy(c, x)
 	return c
-}
-
-// MaxAbs returns the largest absolute element of x, or 0 for empty x.
-func MaxAbs(x []float32) float32 {
-	var m float32
-	for _, v := range x {
-		a := v
-		if a < 0 {
-			a = -a
-		}
-		if a > m {
-			m = a
-		}
-	}
-	return m
 }
 
 // HasNaNOrInf reports whether x contains a NaN or an infinity.

@@ -45,7 +45,7 @@ func stepOnce(cfg Config, mode CommMode) []float32 {
 }
 
 func oneStepConfig(r Reduction, s Scope, opt optim.Optimizer) Config {
-	train := data.Generate(data.Config{N: 64, Dim: 8, Classes: 3, Noise: 0.5, Seed: 6})
+	train, _ := data.GeneratePair(data.Config{N: 64, Dim: 8, Classes: 3, Noise: 0.5, Seed: 6}, 0)
 	return Config{
 		Workers: 4, Microbatch: 4,
 		Reduction: r, Scope: s, PerLayer: true,
@@ -95,7 +95,7 @@ func TestPreOptimizerSumIsOneAveragedStep(t *testing.T) {
 		grads[w] = net.Grads()
 	}
 	want := tensor.Clone(start)
-	optim.NewSGD().Step(want, adasum.MeanReduce(grads), 0.01)
+	optim.NewSGD().Step(want, adasum.NewReducer().MeanReduce(grads), 0.01)
 	for _, mode := range []CommMode{CommHost, CommCluster} {
 		if !tensor.Equal(stepOnce(cfg, mode), want, 1e-6) {
 			t.Fatalf("%v: one ReduceSum step is not one SGD step on the mean gradient", mode)
