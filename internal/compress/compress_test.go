@@ -460,7 +460,17 @@ func bitsEqual(a, b []float32) int {
 	return -1
 }
 
-// checkTopKAgainstOracle drives one codec through three steps of the
+// oracleStep is one step of an oracle sequence: its payload, the codec
+// the stream is switched to before it (nil keeps the current one, as
+// SetCodec between launches would), and whether the stream is first
+// checkpointed and restored into a fresh Stream, as a resumed run is.
+type oracleStep struct {
+	payload []float32
+	codec   Codec
+	resume  bool
+}
+
+// checkTopKAgainstOracle drives one codec through the steps of the
 // engine's site program — Quantize at site 0, then Encode of the halves
 // an RVH scatter would ship — on both the production Stream and the
 // reference, and requires identical bits everywhere: the quantized
@@ -468,9 +478,35 @@ func bitsEqual(a, b []float32) int {
 // steps[s] is step s's payload; all have the same length.
 func checkTopKAgainstOracle(t testing.TB, c Codec, steps [][]float32) {
 	t.Helper()
+	seq := make([]oracleStep, len(steps))
+	for s, payload := range steps {
+		seq[s].payload = payload
+	}
+	seq[0].codec = c
+	checkTopKSequence(t, seq)
+}
+
+// checkTopKSequence is checkTopKAgainstOracle over an oracleStep
+// sequence. The reference is never interrupted: a resumed production
+// stream must carry on with exactly the bits the uninterrupted one
+// produces. seq[0].codec must be set.
+func checkTopKSequence(t testing.TB, seq []oracleStep) {
+	t.Helper()
+	c := seq[0].codec
 	st := NewStream(c)
 	ref := &refStream{c: c.(topKCodec)}
-	for s, payload := range steps {
+	for s, step := range seq {
+		payload := step.payload
+		if step.codec != nil {
+			c = step.codec
+			st.SetCodec(c)
+			ref.c = c.(topKCodec)
+		}
+		if step.resume {
+			snap := st.Snapshot()
+			st = NewStream(c)
+			st.Restore(snap)
+		}
 		got := append([]float32(nil), payload...)
 		want := append([]float32(nil), payload...)
 		st.Begin()
@@ -586,6 +622,60 @@ func TestTopKMatchesOracle(t *testing.T) {
 			}
 		}
 	}
+	for _, n := range []int{255, 4097, 32768} {
+		for name, seq := range thresholdJumps(n) {
+			t.Run(fmt.Sprintf("jump/%s/n=%d", name, n), func(t *testing.T) {
+				checkTopKSequence(t, seq)
+			})
+		}
+	}
+}
+
+// thresholdJumps builds step sequences for an n-element site whose
+// k-th largest magnitude moves between steps: by eight orders of
+// magnitude, to and from an all-zero or a non-finite payload, with k
+// walked up and down the adaptive policy's frac ladder, and across a
+// checkpoint/resume. Every sequence opens with steady steps, so a
+// stream that carries state from one step to the next has some to
+// carry into the jump.
+func thresholdJumps(n int) map[string][]oracleStep {
+	rng := rand.New(rand.NewSource(int64(n) + 91))
+	gauss := func(scale float64) []float32 {
+		out := make([]float32, n)
+		for i := range out {
+			out[i] = float32(rng.NormFloat64() * scale)
+		}
+		return out
+	}
+	steps := func(payloads ...[]float32) []oracleStep {
+		seq := make([]oracleStep, len(payloads))
+		for i, p := range payloads {
+			seq[i].payload = p
+		}
+		seq[0].codec = TopK(0.01, true)
+		return seq
+	}
+	seqs := map[string][]oracleStep{
+		"scale-1e4-then-1e-4": steps(gauss(1), gauss(1), gauss(1e4), gauss(1e-4), gauss(1), gauss(1)),
+		"zero-gap":            steps(gauss(1), gauss(1), make([]float32, n), gauss(1), gauss(1)),
+	}
+	if nonfinite, ok := topKCases(n)["nan+inf"]; ok {
+		seqs["nonfinite-gap"] = steps(gauss(1), gauss(1), nonfinite, gauss(1), gauss(1))
+	}
+	// The error controller doubles or halves frac between fracMin and
+	// fracMax of the default ladder; a top-k rung without error feedback
+	// between two with it leaves the residuals frozen.
+	var ladder []oracleStep
+	for _, frac := range []float64{0.0025, 0.005, 0.01, 0.02, 0.04, 0.04, 0.02, 0.01, 0.005, 0.0025} {
+		ladder = append(ladder, oracleStep{payload: gauss(1), codec: TopK(frac, true)})
+	}
+	ladder = append(ladder, oracleStep{payload: gauss(1), codec: TopK(0.01, false)},
+		oracleStep{payload: gauss(1), codec: TopK(0.01, true)}, oracleStep{payload: gauss(1)})
+	seqs["k-ladder"] = ladder
+	resume := steps(gauss(1), gauss(1), gauss(1), gauss(1), gauss(1))
+	resume[2].resume = true
+	seqs["resume"] = resume
+	return seqs
 }
 
 // FuzzTopKEncode feeds arbitrary bit patterns (so NaN payloads,
