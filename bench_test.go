@@ -89,7 +89,11 @@ func BenchmarkWorld1024Construct(b *testing.B) {
 // a microbatch-1 MLP layer (three quarters exact zeros), a dense
 // Gaussian, and one run of equal magnitudes (the quadratic case of the
 // quickselect this kernel replaced). Four payloads rotate so the
-// residual keeps evolving. 0 allocs/op once the site exists.
+// residual keeps evolving. The warm sub-benchmarks keep one stream, so
+// each encode starts from the site's last threshold (0 allocs/op once
+// the site exists); the cold ones Restore(nil) before every encode, so
+// each takes the histogram path from a fresh zero residual (1 alloc/op:
+// the residual).
 func BenchmarkTopKEncodeEF(b *testing.B) {
 	dists := []struct {
 		name string
@@ -127,26 +131,35 @@ func BenchmarkTopKEncodeEF(b *testing.B) {
 	}
 	for _, n := range []int{4 << 10, 32 << 10, 163600} {
 		for _, d := range dists {
-			b.Run(fmt.Sprintf("%s/n=%d", d.name, n), func(b *testing.B) {
-				rng := rand.New(rand.NewSource(int64(n)))
-				var payloads [4][]float32
-				for i := range payloads {
-					payloads[i] = make([]float32, n)
-					d.fill(rng, payloads[i])
+			for _, cold := range []bool{false, true} {
+				name := fmt.Sprintf("%s/n=%d/warm", d.name, n)
+				if cold {
+					name = fmt.Sprintf("%s/n=%d/cold", d.name, n)
 				}
-				c := compress.TopK(1.0/32, true)
-				st := compress.NewStream(c)
-				enc := make([]float32, c.EncodedLen(n))
-				st.Begin()
-				st.Encode(enc, payloads[0])
-				b.SetBytes(int64(4 * n))
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
+				b.Run(name, func(b *testing.B) {
+					rng := rand.New(rand.NewSource(int64(n)))
+					var payloads [4][]float32
+					for i := range payloads {
+						payloads[i] = make([]float32, n)
+						d.fill(rng, payloads[i])
+					}
+					c := compress.TopK(1.0/32, true)
+					st := compress.NewStream(c)
+					enc := make([]float32, c.EncodedLen(n))
 					st.Begin()
-					st.Encode(enc, payloads[i%len(payloads)])
-				}
-			})
+					st.Encode(enc, payloads[0])
+					b.SetBytes(int64(4 * n))
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if cold {
+							st.Restore(nil)
+						}
+						st.Begin()
+						st.Encode(enc, payloads[i%len(payloads)])
+					}
+				})
+			}
 		}
 	}
 }

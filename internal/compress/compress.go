@@ -81,7 +81,7 @@ func IsNone(c Codec) bool { return c == nil || c.Kind() == KindNone } //adasum:d
 // must not be shared between goroutines.
 type Workspace struct {
 	hist *[1 << histBits]uint32 // radix-select bucket counters
-	list []uint32               // indices of the entries at or above the threshold bucket
+	list []uint32               // backs listBuf
 }
 
 // histBuf returns the zeroed bucket counters.
@@ -94,11 +94,13 @@ func (ws *Workspace) histBuf() *[1 << histBits]uint32 {
 	return ws.hist
 }
 
-func (ws *Workspace) listBuf(n int) []uint32 {
-	if cap(ws.list) < n {
-		ws.list = make([]uint32, n) //adasum:alloc ok workspace grows on first use (or candidate-set growth) and is reused
+// listBuf returns n slots for the indices of a selection's listed
+// entries and n for their values' bit patterns.
+func (ws *Workspace) listBuf(n int) (list, vals []uint32) {
+	if cap(ws.list) < 2*n {
+		ws.list = make([]uint32, 2*n) //adasum:alloc ok workspace grows on first use (or candidate-set growth) and is reused
 	}
-	return ws.list[:n]
+	return ws.list[:n], ws.list[n : 2*n]
 }
 
 // ---------------------------------------------------------------- None
@@ -349,10 +351,7 @@ func (c topKCodec) Encode(dst, src []float32, ws *Workspace) {
 	if k == 0 {
 		return
 	}
-	h := ws.histBuf()
-	for _, v := range src {
-		h[histBucket(v)]++
-	}
+	hist(ws.histBuf(), src)
 	ws.selectTopK(dst, nil, src, k, false)
 }
 
@@ -377,27 +376,45 @@ func (c topKCodec) Decode(dst, src []float32) {
 // ordering matches the numeric one, comparisons are total, and NaN
 // patterns order above +Inf — so non-finite entries are always selected
 // and transmitted exactly, propagating a diverged gradient loudly
-// instead of corrupting the selection. The caller's pass over the
-// payload histograms the top histBits of every magnitude (exponent and
-// leading mantissa bits); selectTopK makes the one other pass, listing
-// the entries at or above the bucket that holds the k-th largest, and
-// everything after works on that short list. The pass count is fixed,
-// so the cost is linear on every input, runs of equal magnitudes
-// included.
+// instead of corrupting the selection. The cold path histograms the top
+// histBits of every magnitude (exponent and leading mantissa bits) in
+// one pass over the payload, and selectTopK makes one other, listing
+// (filter) the entries at or above the bucket that holds the k-th
+// largest. An error-feedback site that has encoded before starts warm
+// instead: one pass lists the entries at or above a floor just under
+// the site's last threshold (warmList), and only that list is
+// histogrammed. Either way refineEmit works on the short list from
+// there. A warm start that misses costs at most one more pass before
+// the cold path, so the cost is linear on every input, runs of equal
+// magnitudes included.
 const (
 	magBits    = 31
 	histBits   = 11
 	refineBits = 10 // must divide magBits - histBits
+
+	// warmMargin is how far below a site's last exact threshold the warm
+	// pass sets its floor, in sign-stripped patterns: 2^20 is an eighth
+	// of an octave (the mantissa has 23 bits).
+	warmMargin = 1 << 20
+	// warmSlack is c in the warm list's cap of c·k entries: a floor that
+	// lists more than that is too far below the new threshold to pay.
+	warmSlack = 4
+	// warmRetry is how far the retry moves the floor below a warm floor
+	// that listed fewer than k entries: a quarter of an octave.
+	warmRetry = 1 << 21
+	// floorMax is the highest floor the listing passes accept: it lists
+	// nothing, and anything higher would wrap their signed lane compare.
+	floorMax = 1 << 31
 )
 
-// histBucket returns v's first-level bucket: the top histBits of its
-// sign-stripped bit pattern.
-func histBucket(v float32) uint32 {
-	return math.Float32bits(v) << 1 >> (32 - histBits)
+// histBucket returns the first-level bucket of a float32 bit pattern:
+// the top histBits of its sign-stripped pattern.
+func histBucket(bits uint32) uint32 {
+	return bits << 1 >> (32 - histBits)
 }
 
-// addHist is the first pass of an error-feedback encode: r becomes the
-// effective payload src + r in place and h gains its first-level
+// addHist is the first pass of a cold error-feedback encode: r becomes
+// the effective payload src + r in place and h gains its first-level
 // histogram. len(r) must equal len(src).
 //
 //adasum:noalloc
@@ -406,97 +423,254 @@ func addHist(h *[1 << histBits]uint32, r, src []float32) {
 	for i, v := range src {
 		e := v + r[i]
 		r[i] = e
-		h[histBucket(e)]++
+		h[histBucket(math.Float32bits(e))]++
 	}
 }
 
-// listFrom fills list with the ascending indices of v's entries in
-// first-level bucket b or above. list needs one slot more than there
-// are such entries: the store is unconditional and only the advance is
-// conditional, so the scan carries no unpredictable branch. Kept out of
-// line: inlined into selectTopK the loop's cursors spill to the stack.
+// hist adds v's first-level histogram to h.
 //
 //adasum:noalloc
-//go:noinline
-func listFrom(list []uint32, v []float32, b uint32) []uint32 {
-	n := 0
-	for i, x := range v {
-		list[n] = uint32(i)
-		if histBucket(x) >= b {
-			n++
-		}
+func hist(h *[1 << histBits]uint32, v []float32) {
+	for _, x := range v {
+		h[histBucket(math.Float32bits(x))]++
 	}
-	return list[:n]
+}
+
+// thresholdBucket scans a first-level histogram down from the top for
+// the bucket b that holds the k-th largest magnitude, and the count of
+// entries in the buckets above it.
+func thresholdBucket(h *[1 << histBits]uint32, k int) (b uint32, above int) {
+	b = uint32(len(h) - 1)
+	for above+int(h[b]) < k {
+		above += int(h[b])
+		b--
+	}
+	return b, above
 }
 
 // selectTopK emits the k largest-magnitude entries of v
 // (1 <= k <= len(v)), given v's first-level histogram in ws.hist (which
-// it consumes): everything strictly above the k-th largest magnitude in
+// it consumes), and returns the k-th largest magnitude pattern and the
+// number of passes it made over v. It lists the entries in the threshold
+// bucket or above — those whose pattern is at least the bucket's lowest,
+// a count the histogram gives exactly — and hands them to refineEmit,
+// whose comment gives the emit order and the out and ef modes. The
+// lowest bucket holds every zero, so when the threshold falls in it
+// selectZero goes first.
+//
+//adasum:noalloc
+func (ws *Workspace) selectTopK(dst, out, v []float32, k int, ef bool) (thresh uint32, passes int) {
+	b, above := thresholdBucket(ws.hist, k)
+	if b == 0 {
+		if ws.selectZero(dst, out, v, k, ef) {
+			return 0, 1
+		}
+		passes++
+	}
+	n := above + int(ws.hist[b])
+	list, vals := ws.listBuf(n + 8)
+	filter(list, vals, n, v, b<<(magBits-histBits))
+	return ws.refineEmit(dst, out, v, list[:n], vals[:n], b, above, k, ef), passes + 1
+}
+
+// selectZero is selectTopK for a threshold that may be zero: fewer than
+// k non-zero entries, as on a dead ReLU layer's site, where listing the
+// lowest bucket would list nearly every entry. One filter pass lists the
+// non-zero entries, capped at k. Fewer than k means the threshold is
+// zero: the selection is those entries, then the lowest-index zeros,
+// which a scan from the start collects and stops. So the list stays k
+// long however many zeros there are. With k non-zero entries or more
+// (the threshold is a denormal) it emits nothing and reports false.
+//
+//adasum:noalloc
+func (ws *Workspace) selectZero(dst, out, v []float32, k int, ef bool) bool {
+	list, vals := ws.listBuf(k + 8)
+	nz := filter(list, vals, k, v, 1)
+	if nz >= k {
+		return false
+	}
+	n := nz
+	for i := 0; n < k; i++ {
+		if bits := math.Float32bits(v[i]); bits&^(1<<31) == 0 {
+			list[n], vals[n] = uint32(i), bits
+			n++
+		}
+	}
+	emitKept(dst, out, v, list[:k], vals[:k], 0, nz, ef)
+	return true
+}
+
+// refineEmit finishes a selection from list — the ascending indices of
+// every entry of v whose magnitude pattern is at or above some floor at
+// or below the k-th largest — and vals, those entries' bit patterns,
+// given their first-level histogram in ws.hist (which it consumes) and
+// what thresholdBucket found in it. It emits the k largest-magnitude
+// entries of v: everything strictly above the k-th largest magnitude in
 // ascending index order, then threshold-magnitude ties lowest index
 // first. With out nil the entries go to dst as wire words (k indices,
 // then k values); otherwise they are scattered into out, which the
 // caller zeroed. With ef set, v is an error-feedback site's effective
 // payload and becomes its residual in place: a kept entry leaves e - e
 // (+0, or NaN for a non-finite e); a dropped entry already is what was
-// dropped.
+// dropped. It returns the k-th largest magnitude pattern.
+//
+// Entries below the floor are absent from the list and from the counts,
+// which changes nothing: each counter scan stops at the bucket holding
+// the k-th largest, and every bucket it passes on the way lies wholly
+// above it. Only the stores of kept entries touch v, dst and out; the
+// rest reads the two contiguous arrays, in loops small enough to keep
+// their cursors in registers.
 //
 //adasum:noalloc
-func (ws *Workspace) selectTopK(dst, out, v []float32, k int, ef bool) {
+func (ws *Workspace) refineEmit(dst, out, v []float32, list, vals []uint32, b uint32, above, k int, ef bool) uint32 {
 	h := ws.hist
-	b, above := uint32(len(h)-1), 0
-	for above+int(h[b]) < k {
-		above += int(h[b])
-		b--
-	}
-	list := listFrom(ws.listBuf(above+int(h[b])+1), v, b)
 
 	// Refine the threshold bucket to the exact k-th largest magnitude,
-	// refineBits at a time. Listed entries outside the bucket count into
-	// a spare slot rather than behind a branch that would mispredict.
+	// refineBits at a time.
 	const mask = 1<<refineBits - 1
 	thresh := b
-	for shift := uint(magBits - histBits); shift > 0; {
-		sub := h[:mask+2]
-		clear(sub)
-		for _, j := range list {
-			m := absBits(v[j])
-			d := m >> (shift - refineBits) & mask
-			if m>>shift != thresh {
-				d = mask + 1
-			}
-			sub[d]++
-		}
+	for shift := uint(magBits - histBits); shift > 0; shift -= refineBits {
+		sub := h[:mask+1]
+		subHist(sub, vals, thresh, shift)
 		d := uint32(mask)
 		for above+int(sub[d]) < k {
 			above += int(sub[d])
 			d--
 		}
 		thresh = thresh<<refineBits | d
-		shift -= refineBits
 	}
 
-	g, t := 0, above // wire slots: strictly-above entries, then ties
-	for _, j := range list {
-		x := v[j]
-		p := g
-		if m := absBits(x); m > thresh {
-			g++
-		} else if m == thresh && t < k {
-			p = t
-			t++
-		} else {
-			continue
+	list, vals = keepTop(list, vals, thresh, k-above)
+	emitKept(dst, out, v, list, vals, thresh, above, ef)
+	return thresh
+}
+
+// emitKept writes the k kept entries of a selection — list and vals,
+// the entries above thresh ascending by index among themselves, as are
+// the ties — as refineEmit's comment describes: to dst or out, and with
+// ef set, clearing them in the residual v.
+//
+//adasum:noalloc
+func emitKept(dst, out, v []float32, list, vals []uint32, thresh uint32, above int, ef bool) {
+	if out != nil {
+		for i, j := range list {
+			out[j] = math.Float32frombits(vals[i])
 		}
-		if out != nil {
-			out[j] = x
-		} else {
-			dst[p] = math.Float32frombits(j)
-			dst[k+p] = x
-		}
-		if ef {
+	} else {
+		emitWire(dst, list, vals, thresh, above)
+	}
+	if ef {
+		for i, j := range list {
+			x := math.Float32frombits(vals[i])
 			v[j] = x - x
 		}
 	}
+}
+
+// subHist clears sub and counts into it the next refineBits of the
+// magnitude patterns in vals whose top bits (above shift) are prefix.
+// It has no branch to mispredict: every entry adds to a counter, 1 or,
+// outside the prefix's range, 0 — below it m-base wraps past 2^31,
+// above it the shifted offset passes the last counter.
+//
+//adasum:noalloc
+func subHist(sub, vals []uint32, prefix uint32, shift uint) {
+	const mask = 1<<refineBits - 1
+	sub = sub[:mask+1]
+	clear(sub)
+	base, low := prefix<<shift, (shift-refineBits)&31
+	for _, x := range vals {
+		d := (x&^(1<<31) - base) >> low
+		var in uint32
+		if d <= mask {
+			in = 1
+		}
+		sub[d&mask] += in
+	}
+}
+
+// keepTop compacts list and vals, in place and in index order, to the
+// entries a selection keeps: every magnitude pattern above thresh, and
+// the first `ties` of those equal to it. The comparison with thresh is a
+// coin toss entry by entry, so it feeds the count, not a branch; ties
+// are few but for degenerate payloads, where they are nearly all.
+//
+//adasum:noalloc
+func keepTop(list, vals []uint32, thresh uint32, ties int) ([]uint32, []uint32) {
+	n := 0
+	for i, bits := range vals {
+		m := bits &^ (1 << 31)
+		list[n], vals[n] = list[i], bits
+		keep := m > thresh
+		if m == thresh {
+			keep = ties > 0
+			ties--
+		}
+		if keep {
+			n++
+		}
+	}
+	return list[:n], vals[:n]
+}
+
+// emitWire writes the kept entries as wire words: indices, then values,
+// those above thresh first in index order, from slot 0, then the ties
+// from slot above.
+//
+//adasum:noalloc
+func emitWire(dst []float32, list, vals []uint32, thresh uint32, above int) {
+	k := len(list)
+	g, t := 0, above
+	for i, j := range list {
+		bits := vals[i]
+		p := g
+		if bits&^(1<<31) > thresh {
+			g++
+		} else {
+			p = t
+			t++
+		}
+		dst[p] = math.Float32frombits(j)
+		dst[k+p] = math.Float32frombits(bits)
+	}
+}
+
+// warmList is the warm start of an error-feedback encode at a site whose
+// last exact threshold was last. One fused pass makes r the effective
+// payload src + r and lists the entries at or above a floor an eighth of
+// an octave under last. If that misses — fewer than k entries, or more
+// than warmSlack·k — one more pass lists r again with the floor moved
+// toward the miss: warmRetry lower, or up to last plus the margin. When
+// a pass lands between k and warmSlack·k entries it returns the list,
+// the listed values and their histogram in ws.hist (ok); either way it
+// returns the number of passes made, and after a miss r is still the
+// effective payload.
+//
+//adasum:noalloc
+func (ws *Workspace) warmList(r, src []float32, last uint32, k int) (list, vals []uint32, passes int, ok bool) {
+	lim := min(warmSlack*k, len(src))
+	list, vals = ws.listBuf(lim + 8)
+	lo := last - min(last, warmMargin)
+	n := addFilter(list, vals, lim, r, src, lo)
+	passes = 1
+	if n < k || n > lim {
+		if n < k {
+			lo -= min(lo, warmRetry)
+		} else {
+			lo = min(last+warmMargin, floorMax)
+		}
+		n = filter(list, vals, lim, r, lo)
+		passes++
+		if n < k || n > lim {
+			return nil, nil, passes, false
+		}
+	}
+	list, vals = list[:n], vals[:n]
+	h := ws.histBuf()
+	for _, x := range vals {
+		h[histBucket(x)]++
+	}
+	return list, vals, passes, true
 }
 
 // ---------------------------------------------------------------- Stream
@@ -516,9 +690,20 @@ func (ws *Workspace) selectTopK(dst, out, v []float32, k int, ef bool) {
 type Stream struct {
 	codec Codec
 	ws    Workspace
-	pos   int         // encode-site cursor within the current step
-	res   [][]float32 // per-site residuals (error-feedback codecs only)
-	enc   []float32   // wire-word scratch for Quantize
+	pos   int       // encode-site cursor within the current step
+	sites []site    // per-site state (error-feedback codecs only)
+	enc   []float32 // wire-word scratch for Quantize
+}
+
+// site is one encode site's error-feedback state.
+type site struct {
+	res []float32 // the residual: what the site's last encode dropped
+	// warm is the site's last exact threshold, where its next encode
+	// starts looking; 0 starts it cold (before the first encode, or after
+	// a zero threshold, whose floor would list every entry). It
+	// accelerates the selection without deciding it, so it is not part
+	// of Snapshot, and Restore clears it.
+	warm uint32
 }
 
 // NewStream creates compression state for one communication stream of
@@ -552,11 +737,11 @@ func (s *Stream) SetCodec(c Codec) {
 // — or 0 when no residual exists yet. Rank-private and deterministic:
 // the error signal an adaptive policy decides from.
 func (s *Stream) SourceResidualL2() float64 {
-	if len(s.res) == 0 || s.res[0] == nil {
+	if len(s.sites) == 0 {
 		return 0
 	}
 	var sum float64
-	for _, v := range s.res[0] {
+	for _, v := range s.sites[0].res {
 		sum += float64(v) * float64(v)
 	}
 	return math.Sqrt(sum)
@@ -585,22 +770,49 @@ func (s *Stream) Encode(dst, src []float32) {
 	s.codec.Encode(dst, src, &s.ws)
 }
 
-// encodeEF is the error-feedback top-k encode of the current site. The
-// site is streamed twice and nothing is decoded: the residual r becomes
-// the effective payload src + r in place while its magnitudes are
-// histogrammed, then the selection emits the kept entries (wire words
-// into dst, or in place into out, which may alias src) and zeroes them
-// in r — which is then the new residual.
+// encodeEF is the error-feedback top-k encode of the current site, and
+// returns how many passes it made over the site. Nothing is decoded: the
+// residual r becomes the effective payload src + r in place, the
+// selection emits the kept entries (wire words into dst, or in place
+// into out, which may alias src) and zeroes them in r — which is then
+// the new residual — and the exact threshold it found is kept for the
+// site's next encode. A site with a non-zero threshold starts warm
+// (warmList: one fused pass, one more on a miss); the cold path — a
+// site's first encode, the next after Restore or a zero threshold, and
+// the fallback after a warm miss — streams it twice (histogram, then
+// list), three times for a denormal threshold. So a warm hit takes one
+// pass and a double miss four.
 //
 //adasum:noalloc
-func (s *Stream) encodeEF(dst, out, src []float32, k int) {
-	r := s.site(len(src))
+func (s *Stream) encodeEF(dst, out, src []float32, k int) int {
+	st := s.site(len(src))
+	r := st.res
 	if k == 0 {
-		return
+		return 0
 	}
-	addHist(s.ws.histBuf(), r, src)
-	clear(out)
-	s.ws.selectTopK(dst, out, r, k, true)
+	var list, vals []uint32
+	passes, ok := 1, false
+	if st.warm != 0 {
+		list, vals, passes, ok = s.ws.warmList(r, src, st.warm, k)
+	} else {
+		addHist(s.ws.histBuf(), r, src)
+	}
+	clear(out) // only now: Quantize passes out aliased to src, which the first pass reads
+	var thresh uint32
+	if ok {
+		b, above := thresholdBucket(s.ws.hist, k)
+		thresh = s.ws.refineEmit(dst, out, r, list, vals, b, above, k, true)
+	} else {
+		if st.warm != 0 { // a warm miss: r already holds the effective payload
+			hist(s.ws.histBuf(), r)
+			passes++
+		}
+		var p int
+		thresh, p = s.ws.selectTopK(dst, out, r, k, true)
+		passes += p
+	}
+	st.warm = thresh
+	return passes
 }
 
 // Quantize applies the codec's loss to x in place — decode(encode(x)),
@@ -633,52 +845,53 @@ func (s *Stream) Quantize(x []float32) {
 // at restart silently changes the trajectory). Codecs without error
 // feedback have no residuals and snapshot to nil.
 func (s *Stream) Snapshot() [][]float32 {
-	if len(s.res) == 0 {
+	if len(s.sites) == 0 {
 		return nil
 	}
-	out := make([][]float32, len(s.res))
-	for i, r := range s.res {
-		if r == nil {
+	out := make([][]float32, len(s.sites))
+	for i, st := range s.sites {
+		if st.res == nil {
 			continue
 		}
-		out[i] = append([]float32(nil), r...)
+		out[i] = append([]float32(nil), st.res...)
 	}
 	return out
 }
 
 // Restore replaces the stream's residual state with a deep copy of res
-// (a Snapshot from a checkpoint) and resets the site cursor. The next
-// Begin/Encode sequence must present the same payload lengths as the
-// run that captured the snapshot; site.length checking enforces it.
+// (a Snapshot from a checkpoint) and resets the site cursor. Every
+// site's next encode takes the cold path. The next Begin/Encode sequence
+// must present the same payload lengths as the run that captured the
+// snapshot; site.length checking enforces it.
 func (s *Stream) Restore(res [][]float32) {
 	s.pos = 0
-	s.res = s.res[:0]
+	s.sites = s.sites[:0]
 	for _, r := range res {
-		if r == nil {
-			s.res = append(s.res, nil) //adasum:alloc ok restore runs once at resume, off the steady-state path
-			continue
+		var st site
+		if r != nil {
+			st.res = append([]float32(nil), r...) //adasum:alloc ok restore runs once at resume, off the steady-state path
 		}
-		s.res = append(s.res, append([]float32(nil), r...)) //adasum:alloc ok restore runs once at resume, off the steady-state path
+		s.sites = append(s.sites, st) //adasum:alloc ok restore runs once at resume, off the steady-state path
 	}
 }
 
-// site returns the residual buffer of the next encode site, zeroed on
-// first use, and advances the cursor.
-func (s *Stream) site(n int) []float32 {
-	for len(s.res) <= s.pos {
-		s.res = append(s.res, nil) //adasum:alloc ok per-site residual slots mint on the first step
+// site returns the next encode site, its residual zeroed on first use,
+// and advances the cursor.
+func (s *Stream) site(n int) *site {
+	for len(s.sites) <= s.pos {
+		s.sites = append(s.sites, site{}) //adasum:alloc ok per-site slots mint on the first step
 	}
-	if cap(s.res[s.pos]) < n {
-		s.res[s.pos] = make([]float32, n) //adasum:alloc ok per-site residuals mint on the first step
-	} else if len(s.res[s.pos]) != n {
+	st := &s.sites[s.pos]
+	if cap(st.res) < n {
+		st.res = make([]float32, n) //adasum:alloc ok per-site residuals mint on the first step
+	} else if len(st.res) != n {
 		// A site's payload length is fixed across steps; a mismatch means
 		// the step program changed under the stream.
 		panic(fmt.Sprintf("compress: encode site %d length changed (%d != %d)",
-			s.pos, len(s.res[s.pos]), n))
+			s.pos, len(st.res), n))
 	}
-	r := s.res[s.pos][:n]
 	s.pos++
-	return r
+	return st
 }
 
 func growF32(buf *[]float32, n int) []float32 {

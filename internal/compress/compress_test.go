@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -463,7 +464,7 @@ func bitsEqual(a, b []float32) int {
 // oracleStep is one step of an oracle sequence: its payload, the codec
 // the stream is switched to before it (nil keeps the current one, as
 // SetCodec between launches would), and whether the stream is first
-// checkpointed and restored into a fresh Stream, as a resumed run is.
+// rolled back to a Snapshot of itself, as a resumed run is.
 type oracleStep struct {
 	payload []float32
 	codec   Codec
@@ -488,8 +489,9 @@ func checkTopKAgainstOracle(t testing.TB, c Codec, steps [][]float32) {
 
 // checkTopKSequence is checkTopKAgainstOracle over an oracleStep
 // sequence. The reference is never interrupted: a resumed production
-// stream must carry on with exactly the bits the uninterrupted one
-// produces. seq[0].codec must be set.
+// stream — every site cold again, since Restore drops the warm starts —
+// must carry on with exactly the bits the uninterrupted one produces.
+// seq[0].codec must be set.
 func checkTopKSequence(t testing.TB, seq []oracleStep) {
 	t.Helper()
 	c := seq[0].codec
@@ -503,9 +505,12 @@ func checkTopKSequence(t testing.TB, seq []oracleStep) {
 			ref.c = c.(topKCodec)
 		}
 		if step.resume {
-			snap := st.Snapshot()
-			st = NewStream(c)
-			st.Restore(snap)
+			st.Restore(st.Snapshot())
+			for i, site := range st.sites {
+				if site.warm != 0 {
+					t.Fatalf("%s step %d: site %d keeps warm start %#x across Restore", c, s, i, site.warm)
+				}
+			}
 		}
 		got := append([]float32(nil), payload...)
 		want := append([]float32(nil), payload...)
@@ -583,6 +588,19 @@ func topKCases(n int) map[string][]float32 {
 		}
 		cases["ties"] = ties
 		cases["zeros"] = make([]float32, n)
+		// A dead layer: signed zeros and fewer non-zero entries than
+		// most k, so the threshold is zero and ties of both signs fill
+		// the selection.
+		dead := make([]float32, n)
+		for i := range dead {
+			if rng.Intn(2) == 0 {
+				dead[i] = float32(math.Copysign(0, -1))
+			}
+			if rng.Intn(200) == 0 {
+				dead[i] = float32(rng.NormFloat64())
+			}
+		}
+		cases["dead+signed-zero"] = dead
 		nonfinite := gauss(1)
 		for i := range nonfinite {
 			switch rng.Intn(6) {
@@ -629,6 +647,27 @@ func TestTopKMatchesOracle(t *testing.T) {
 			})
 		}
 	}
+	// A NaN threshold within the warm margin of the largest pattern: the
+	// retry's raised floor must be clamped, or it wraps the kernel's
+	// signed lane compare and lists the whole vector part (8 entries,
+	// between k and the cap) while the scalar tail, which holds the
+	// largest entries, lists nothing.
+	nans := func(head, tail uint32) []float32 {
+		v := make([]float32, 15)
+		for i := range v {
+			v[i] = math.Float32frombits(head)
+			if i >= 8 {
+				v[i] = math.Float32frombits(tail)
+			}
+		}
+		return v
+	}
+	t.Run("jump/nan-ceiling/n=15", func(t *testing.T) {
+		checkTopKSequence(t, []oracleStep{
+			{payload: nans(0x7fffffff, 0x7fffffff), codec: topKCodec{kExact: 3, ef: true}},
+			{payload: nans(0x7ff80000, 0x7fffffff)},
+		})
+	})
 }
 
 // thresholdJumps builds step sequences for an n-element site whose
@@ -705,8 +744,9 @@ func FuzzTopKEncode(f *testing.F) {
 // TestTopKEncodeIsLinear is the regression test for the quadratic
 // quickselect: payloads that are one long run of equal magnitudes (a
 // dead ReLU layer's exact zeros) or already sorted took minutes to
-// hours per encode; the fixed-pass-count kernel takes milliseconds (the
-// budget leaves room for the race detector on a loaded machine).
+// hours per encode; the radix select, at most five passes over the
+// site, takes milliseconds (the budget leaves room for the race
+// detector on a loaded machine).
 func TestTopKEncodeIsLinear(t *testing.T) {
 	const n = 1 << 22
 	budget := 30 * time.Second
@@ -738,5 +778,136 @@ func TestTopKEncodeIsLinear(t *testing.T) {
 				t.Errorf("%s %s: two %d-element encodes took %v, budget %v", name, c, n, took, budget)
 			}
 		}
+	}
+	// One stream whose threshold jumps every step, so that warm starts
+	// miss in both directions: no encode may take more than a fused pass,
+	// a filter pass and the cold path's two.
+	for _, c := range []Codec{TopK(0.01, true), TopK(1, true)} {
+		st := NewStream(c)
+		k := c.(topKCodec).kFor(n)
+		enc := make([]float32, 2*k)
+		start := time.Now()
+		for step, name := range []string{"ascending", "all-zero", "descending", "all-zero", "ascending", "descending", "ascending"} {
+			st.Begin()
+			if passes := st.encodeEF(enc, nil, payloads[name], k); passes > 4 {
+				t.Errorf("%s step %d (%s): %d passes over the site, want at most 4", c, step, name, passes)
+			}
+		}
+		if took := time.Since(start); took > budget {
+			t.Errorf("%s: seven alternating %d-element encodes took %v, budget %v", c, n, took, budget)
+		}
+	}
+}
+
+// TestTopKWarmLadder walks one error-feedback site through every rung of
+// the encode ladder and checks how many passes each encode makes over
+// it: 2 cold (the first encode, after a zero threshold, after Restore;
+// 3 when a denormal threshold sends selectZero's pass on to the bucket
+// listing), 1 on a warm hit, 2 when the retry hits, 4 when both warm
+// passes miss. The spike payloads are k spikes of magnitude about a over
+// exact zeros, so the residual stays zero and the threshold is the
+// smallest spike.
+func TestTopKWarmLadder(t *testing.T) {
+	const n = 4096
+	c := TopK(0.01, true)
+	k := c.(topKCodec).kFor(n)
+	rng := rand.New(rand.NewSource(41))
+	spikes := func(a float64) []float32 {
+		out := make([]float32, n)
+		for i := 0; i < k; i++ {
+			out[i*n/k] = float32(a * (1 + rng.Float64()/64))
+		}
+		return out
+	}
+	dense, denormal := make([]float32, n), make([]float32, n)
+	for i := range dense {
+		dense[i] = float32(1e4 * (1 + rng.Float64()))
+		denormal[i] = math.Float32frombits(1 + uint32(rng.Intn(1<<19)))
+	}
+	st := NewStream(c)
+	ref := &refStream{c: c.(topKCodec)}
+	enc, want := make([]float32, 2*k), make([]float32, 2*k)
+	for i, step := range []struct {
+		what    string
+		payload []float32
+		passes  int
+	}{
+		{"first encode: cold", spikes(1), 2},
+		{"steady: warm hit", spikes(1), 1},
+		{"threshold 0.15 octave lower: retry hit", spikes(0.9), 2},
+		{"threshold higher, still listed whole: warm hit", spikes(1), 1},
+		{"all zero: both warm passes miss", make([]float32, n), 4},
+		{"after a zero threshold: cold", spikes(1), 2},
+		{"steady: warm hit", spikes(1), 1},
+		{"all zero: both warm passes miss", make([]float32, n), 4},
+		{"denormals after a zero threshold: cold, listed twice", denormal, 3},
+		{"above a denormal threshold: retry hit", spikes(1), 2},
+		{"restored: cold", spikes(1), 2},
+		{"steady: warm hit", spikes(1), 1},
+		{"dense, 13 octaves up: both warm passes miss", dense, 4},
+	} {
+		if strings.HasPrefix(step.what, "restored") {
+			st.Restore(st.Snapshot())
+		}
+		st.Begin()
+		ref.begin()
+		passes := st.encodeEF(enc, nil, step.payload, k)
+		ref.encode(want, step.payload)
+		if passes != step.passes {
+			t.Errorf("step %d (%s): %d passes, want %d", i, step.what, passes, step.passes)
+		}
+		if j := bitsEqual(enc, want); j >= 0 {
+			t.Fatalf("step %d (%s): wire word %d = %#x, oracle %#x", i, step.what, j, math.Float32bits(enc[j]), math.Float32bits(want[j]))
+		}
+	}
+}
+
+// TestStreamSteadyStateAllocs is the compress-level 0-alloc ratchet of
+// the error-feedback top-k path (Stream.Encode and Quantize, both
+// //adasum:noalloc): once every site, the counters and the workspace's
+// largest list exist, a step program — Quantize at site 0, then the
+// Encodes of an RVH scatter's halves — allocates nothing, with SetCodec
+// moving k along the adaptive policy's frac ladder between steps and
+// payloads that send encodes down every rung.
+func TestStreamSteadyStateAllocs(t *testing.T) {
+	const n = 1 << 15
+	rng := rand.New(rand.NewSource(42))
+	payloads := make([][]float32, 5) // gauss at three scales, ReLU-sparse, all-zero
+	for p := range payloads[:4] {
+		payloads[p] = make([]float32, n)
+		for i := range payloads[p] {
+			if p < 3 || rng.Intn(4) == 0 {
+				payloads[p][i] = float32(rng.NormFloat64() * math.Pow(10, float64(p%3)))
+			}
+		}
+	}
+	payloads[4] = make([]float32, n)
+	var codecs []Codec
+	for _, frac := range []float64{0.0025, 0.005, 0.01, 0.02, 0.04, 0.02, 0.01, 0.005} {
+		codecs = append(codecs, TopK(frac, true))
+	}
+	st := NewStream(codecs[0])
+	buf, enc := make([]float32, n), make([]float32, n)
+	i := 0
+	step := func() {
+		c := codecs[i%len(codecs)]
+		src := payloads[i%len(payloads)]
+		i++
+		st.SetCodec(c)
+		st.Begin()
+		copy(buf, src)
+		st.Quantize(buf)
+		for lo, hi := 0, n; hi-lo > 1; lo += (hi - lo) / 2 {
+			part := src[lo : lo+(hi-lo)/2]
+			st.Encode(enc[:c.EncodedLen(len(part))], part)
+		}
+	}
+	// Warm-up: the all-zero payload lists every entry of the largest site
+	// on the cold path, the workspace's largest list.
+	for range 2 * len(codecs) * len(payloads) {
+		step()
+	}
+	if a := testing.AllocsPerRun(2*len(codecs)*len(payloads), step); a != 0 {
+		t.Errorf("%v allocs per step, want 0", a)
 	}
 }

@@ -8,8 +8,8 @@ import (
 	"testing"
 )
 
-// TestDetectAgreesWithKernel compares the two flags with the feature
-// list the Linux kernel derived from the same CPUID leaf (and its own
+// TestDetectAgreesWithKernel compares the three flags with the feature
+// list the Linux kernel derived from the same CPUID leaves (and its own
 // XSAVE setup). It skips where there is no /proc/cpuinfo.
 func TestDetectAgreesWithKernel(t *testing.T) {
 	raw, err := os.ReadFile("/proc/cpuinfo")
@@ -30,5 +30,8 @@ func TestDetectAgreesWithKernel(t *testing.T) {
 	}
 	if want := has["avx"] && has["f16c"]; HasF16C != want {
 		t.Errorf("HasF16C = %v, /proc/cpuinfo says avx=%v f16c=%v", HasF16C, has["avx"], has["f16c"])
+	}
+	if want := has["avx"] && has["avx2"] && has["popcnt"]; HasAVX2 != want {
+		t.Errorf("HasAVX2 = %v, /proc/cpuinfo says avx=%v avx2=%v popcnt=%v", HasAVX2, has["avx"], has["avx2"], has["popcnt"])
 	}
 }

@@ -3,4 +3,4 @@
 package cpu
 
 // Without the assembly there is nothing to dispatch to.
-const HasAVXFMA, HasF16C = false, false
+const HasAVXFMA, HasF16C, HasAVX2 = false, false, false
