@@ -506,9 +506,9 @@ func checkTopKSequence(t testing.TB, seq []oracleStep) {
 		}
 		if step.resume {
 			st.Restore(st.Snapshot())
-			for i, site := range st.sites {
-				if site.warm != 0 {
-					t.Fatalf("%s step %d: site %d keeps warm start %#x across Restore", c, s, i, site.warm)
+			for i := range st.sites {
+				if w := st.sites[i].warm; w != 0 {
+					t.Fatalf("%s step %d: site %d keeps warm start %#x across Restore", c, s, i, w)
 				}
 			}
 		}

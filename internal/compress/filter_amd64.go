@@ -4,7 +4,7 @@ package compress
 
 import "repro/internal/cpu"
 
-// Dispatch for the warm-pass listing (filter.go): on a CPU with AVX2 and
+// Dispatch for the listing passes (filter.go): on a CPU with AVX2 and
 // POPCNT (cpu.HasAVX2) each function hands the assembly the largest
 // prefix that is a whole number of eight-element blocks and runs the
 // pure-Go twin on the tail, carrying the count across; elsewhere the twin
