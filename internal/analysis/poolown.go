@@ -36,6 +36,12 @@ import (
 // transfers ownership to its caller, so its call sites are acquires
 // too (the collective.recvNew idiom).
 //
+// A RecvLent result is borrowed rather than owned: it is the lender's
+// own memory, so it must never reach the pool and must not outlive the
+// exchange. Passing it to Release or sendOwned, or storing it into a
+// field, global, slice/map element, channel send or composite literal,
+// is a finding; dropping it is not a leak.
+//
 // Known blind spots, chosen over false positives: aliasing (`y := x`)
 // and closure capture untrack the buffer, and a buffer passed to an
 // ordinary function call is assumed consumed by the callee.
@@ -60,6 +66,9 @@ const (
 	ownDeferred
 	ownReleased
 	ownMoved
+	// ownBorrowed: the variable holds a RecvLent result — the lender's
+	// memory, which is never released, sent on or stored.
+	ownBorrowed
 )
 
 type ownState map[*types.Var]ownBits
@@ -90,6 +99,7 @@ const (
 	effAcquire poolEffKind = iota
 	effRelease
 	effMove
+	effBorrow
 )
 
 type poolEffect struct {
@@ -193,6 +203,8 @@ func (a *poolOwnPkg) seedEffect(call *ast.CallExpr) (poolEffect, bool) {
 			return poolEffect{kind: effRelease, arg: 0}, true
 		case "sendOwned":
 			return poolEffect{kind: effMove, arg: 1}, true
+		case "RecvLent":
+			return poolEffect{kind: effBorrow}, true
 		}
 	case "bufPool":
 		switch fn.Name() {
@@ -368,6 +380,9 @@ func (f *poolFn) transferNode(n ast.Node, st ownState, rep reporter, onReturn fu
 	case *ast.DeferStmt:
 		if eff, ok := f.a.seedEffect(n.Call); ok && eff.kind == effRelease && eff.arg < len(n.Call.Args) {
 			if v := f.trackedVar(n.Call.Args[eff.arg], st); v != nil {
+				if st[v]&ownBorrowed != 0 && rep != nil {
+					rep(n.Call.Pos(), "Release of borrowed buffer %s (the lender's memory) in %s", v.Name(), f.fnName)
+				}
 				st[v] |= ownDeferred
 				return
 			}
@@ -385,11 +400,7 @@ func (f *poolFn) transferNode(n ast.Node, st ownState, rep reporter, onReturn fu
 		}
 	case *ast.SendStmt:
 		f.scanExpr(n.Chan, st, rep)
-		if v := f.trackedVar(n.Value, st); v != nil && st[v]&ownOwned != 0 {
-			if rep != nil {
-				rep(n.Value.Pos(), "pooled buffer %s sent over a channel (ownership escapes tracking) in %s", v.Name(), f.fnName)
-			}
-			st[v] = st[v]&ownDeferred | ownMoved
+		if v := f.trackedVar(n.Value, st); v != nil && f.escape(n.Value.Pos(), v, "sent over a channel", st, rep) {
 			return
 		}
 		f.scanExpr(n.Value, st, rep)
@@ -451,10 +462,10 @@ func (f *poolFn) transferNode(n ast.Node, st ownState, rep reporter, onReturn fu
 
 // assignOne handles one lhs := / = rhs pair.
 func (f *poolFn) assignOne(lhs, rhs ast.Expr, st ownState, rep reporter) {
-	acquire := false
+	acquire, borrow := false, false
 	if call, ok := ast.Unparen(rhs).(*ast.CallExpr); ok {
-		if eff, ok := f.a.seedEffect(call); ok && eff.kind == effAcquire {
-			acquire = true
+		if eff, ok := f.a.seedEffect(call); ok && (eff.kind == effAcquire || eff.kind == effBorrow) {
+			acquire, borrow = eff.kind == effAcquire, eff.kind == effBorrow
 			// Receiver/args of the acquire still count as uses.
 			f.scanExpr(call.Fun, st, rep)
 			for _, a := range call.Args {
@@ -467,7 +478,7 @@ func (f *poolFn) assignOne(lhs, rhs ast.Expr, st ownState, rep reporter) {
 		if id.Name == "_" {
 			if acquire && rep != nil {
 				rep(rhs.Pos(), "pooled buffer from %s is dropped without Release in %s", callName(rhs), f.fnName)
-			} else if !acquire {
+			} else if !acquire && !borrow {
 				f.scanExpr(rhs, st, rep)
 			}
 			return
@@ -479,6 +490,10 @@ func (f *poolFn) assignOne(lhs, rhs ast.Expr, st ownState, rep reporter) {
 			}
 			if acquire {
 				st[v] = ownOwned
+				return
+			}
+			if borrow {
+				st[v] = ownBorrowed
 				return
 			}
 			// Alias or unrelated value: the old buffer (and any tracked
@@ -495,22 +510,18 @@ func (f *poolFn) assignOne(lhs, rhs ast.Expr, st ownState, rep reporter) {
 	// Compound lhs: field, global, slice/map element, pointer target.
 	dest := lhsDescription(lhs, f.a.pass.Info)
 	if dest != "" {
-		if acquire {
+		if acquire || borrow {
 			if rep != nil {
-				rep(lhs.Pos(), "pooled buffer from %s stored into %s (escapes ownership tracking) in %s", callName(rhs), dest, f.fnName)
+				rep(lhs.Pos(), "%s from %s stored into %s %s in %s", bufKind(borrow), callName(rhs), dest, escapeWhy(borrow), f.fnName)
 			}
 			return
 		}
-		if rv := f.trackedVar(rhs, st); rv != nil && st[rv]&ownOwned != 0 {
-			if rep != nil {
-				rep(lhs.Pos(), "pooled buffer %s stored into %s (escapes ownership tracking) in %s", rv.Name(), dest, f.fnName)
-			}
-			st[rv] = st[rv]&ownDeferred | ownMoved
+		if rv := f.trackedVar(rhs, st); rv != nil && f.escape(lhs.Pos(), rv, "stored into "+dest, st, rep) {
 			return
 		}
 	}
 	f.scanExpr(rhs, st, rep)
-	if !acquire {
+	if !acquire && !borrow {
 		// Index/selector expressions on the lhs still read their base.
 		if _, ok := ast.Unparen(lhs).(*ast.Ident); !ok {
 			f.scanExpr(lhs, st, rep)
@@ -522,12 +533,13 @@ func (f *poolFn) assignOne(lhs, rhs ast.Expr, st ownState, rep reporter) {
 // the call is not a seed and the caller should scan it generically.
 func (f *poolFn) seedCall(call *ast.CallExpr, st ownState, rep reporter, stmtLevel bool) bool {
 	eff, ok := f.a.seedEffect(call)
-	if !ok || (eff.kind != effAcquire && eff.arg >= len(call.Args)) {
+	if !ok || (eff.kind != effAcquire && eff.kind != effBorrow && eff.arg >= len(call.Args)) {
 		return false
 	}
 	switch eff.kind {
-	case effAcquire:
-		if stmtLevel && rep != nil {
+	case effAcquire, effBorrow:
+		// A dropped borrow is harmless: the lender still owns the memory.
+		if eff.kind == effAcquire && stmtLevel && rep != nil {
 			rep(call.Pos(), "pooled buffer from %s is dropped without Release in %s", callName(call), f.fnName)
 		}
 		f.scanExpr(call.Fun, st, rep)
@@ -545,11 +557,18 @@ func (f *poolFn) seedCall(call *ast.CallExpr, st ownState, rep reporter, stmtLev
 		arg := call.Args[eff.arg]
 		v := f.trackedVar(arg, st)
 		if v == nil {
+			if f.borrowCall(arg) && rep != nil {
+				rep(call.Pos(), "Release of borrowed buffer from %s (the lender's memory) in %s", callName(arg), f.fnName)
+			}
 			f.scanExpr(arg, st, rep)
 			return true
 		}
 		bits := st[v]
 		switch {
+		case bits&ownBorrowed != 0:
+			if rep != nil {
+				rep(call.Pos(), "Release of borrowed buffer %s (the lender's memory) in %s", v.Name(), f.fnName)
+			}
 		case bits&ownReleased != 0:
 			if rep != nil {
 				rep(call.Pos(), "double Release of %s in %s", v.Name(), f.fnName)
@@ -571,22 +590,39 @@ func (f *poolFn) seedCall(call *ast.CallExpr, st ownState, rep reporter, stmtLev
 		arg := call.Args[eff.arg]
 		if v := f.trackedVar(arg, st); v != nil {
 			bits := st[v]
-			if bits&ownOwned == 0 && rep != nil {
+			switch {
+			case rep == nil:
+			case bits&ownBorrowed != 0:
+				rep(call.Pos(), "sendOwned of borrowed buffer %s (the lender's memory) in %s", v.Name(), f.fnName)
+			case bits&ownOwned == 0:
 				rep(call.Pos(), "sendOwned of %s, which the caller no longer owns, in %s", v.Name(), f.fnName)
 			}
 			st[v] = bits&ownDeferred | ownMoved
 			return true
 		}
-		// A direct acquire as the argument is a clean handoff; anything
-		// else is outside the tracking horizon.
+		// A direct acquire as the argument is a clean handoff, a direct
+		// borrow a finding; anything else is outside the tracking horizon.
 		if call2, ok := ast.Unparen(arg).(*ast.CallExpr); ok {
 			if eff2, ok := f.a.seedEffect(call2); ok && eff2.kind == effAcquire {
 				return true
 			}
 		}
+		if f.borrowCall(arg) && rep != nil {
+			rep(call.Pos(), "sendOwned of borrowed buffer from %s (the lender's memory) in %s", callName(arg), f.fnName)
+		}
 		f.scanExpr(arg, st, rep)
 	}
 	return true
+}
+
+// borrowCall reports whether e is a direct RecvLent call.
+func (f *poolFn) borrowCall(e ast.Expr) bool {
+	call, ok := ast.Unparen(e).(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	eff, ok := f.a.seedEffect(call)
+	return ok && eff.kind == effBorrow
 }
 
 // scanExpr walks an expression for generic effects: uses of released
@@ -611,11 +647,7 @@ func (f *poolFn) scanExpr(e ast.Expr, st ownState, rep reporter) {
 				if kv, ok := el.(*ast.KeyValueExpr); ok {
 					expr = kv.Value
 				}
-				if v := f.trackedVar(expr, st); v != nil && st[v]&ownOwned != 0 {
-					if rep != nil {
-						rep(expr.Pos(), "pooled buffer %s stored into composite literal (escapes ownership tracking) in %s", v.Name(), f.fnName)
-					}
-					st[v] = st[v]&ownDeferred | ownMoved
+				if v := f.trackedVar(expr, st); v != nil && f.escape(expr.Pos(), v, "stored into composite literal", st, rep) {
 					consumed[ast.Unparen(expr)] = true
 				}
 			}
@@ -707,6 +739,41 @@ func (f *poolFn) untrackLhs(e ast.Expr, st ownState) {
 	if v, ok := info.Uses[id].(*types.Var); ok {
 		delete(st, v)
 	}
+}
+
+// escape handles tracked buffer v escaping to a place the flow cannot
+// follow (how says where: "stored into field x", "sent over a
+// channel"). An owned buffer is reported and counts as moved; a
+// borrowed one is reported. It reports whether v was either.
+func (f *poolFn) escape(pos token.Pos, v *types.Var, how string, st ownState, rep reporter) bool {
+	bits := st[v]
+	borrowed := bits&ownOwned == 0 && bits&ownBorrowed != 0
+	if bits&ownOwned == 0 && !borrowed {
+		return false
+	}
+	if rep != nil {
+		rep(pos, "%s %s %s %s in %s", bufKind(borrowed), v.Name(), how, escapeWhy(borrowed), f.fnName)
+	}
+	if !borrowed {
+		st[v] = bits&ownDeferred | ownMoved
+	}
+	return true
+}
+
+// bufKind and escapeWhy phrase an escape finding for an owned or a
+// borrowed buffer.
+func bufKind(borrowed bool) string {
+	if borrowed {
+		return "borrowed buffer"
+	}
+	return "pooled buffer"
+}
+
+func escapeWhy(borrowed bool) string {
+	if borrowed {
+		return "(a borrow must not outlive its exchange)"
+	}
+	return "(escapes ownership tracking)"
 }
 
 // lhsDescription names a compound assignment target for diagnostics;

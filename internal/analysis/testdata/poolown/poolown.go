@@ -21,6 +21,7 @@ type Proc struct {
 }
 
 func (p *Proc) Recv(src int) []float32           { return p.world.pool.getF32(p.rank, 8) }
+func (p *Proc) RecvLent(src int) []float32       { return p.stash }
 func (p *Proc) Scratch(n int) []float32          { return p.world.pool.getF32(p.rank, n) }
 func (p *Proc) Release(buf []float32)            { p.world.pool.putF32(p.rank, buf) }
 func (p *Proc) sendOwned(dst int, buf []float32) {}
@@ -156,6 +157,60 @@ func suppressedStash(p *Proc) {
 	buf := p.Recv(5)
 	//adasum:poolown ok fixture: ownership intentionally parked in the stash for a later step
 	p.stash = buf
+}
+
+// --- borrowed buffers: a RecvLent result is the lender's memory, read
+// and then dropped, never released, sent on or stored ---
+
+func borrowRead(p *Proc) float32 {
+	half := p.RecvLent(1)
+	p.RecvLent(2) // a dropped borrow is not a leak
+	return half[0]
+}
+
+func releaseBorrowed(p *Proc) {
+	half := p.RecvLent(1)
+	p.Release(half) // want `Release of borrowed buffer half \(the lender's memory\) in releaseBorrowed`
+}
+
+func deferReleaseBorrowed(p *Proc) float32 {
+	half := p.RecvLent(1)
+	defer p.Release(half) // want `Release of borrowed buffer half \(the lender's memory\) in deferReleaseBorrowed`
+	return half[0]
+}
+
+func releaseBorrowInline(p *Proc) {
+	p.Release(p.RecvLent(1)) // want `Release of borrowed buffer from RecvLent \(the lender's memory\) in releaseBorrowInline`
+}
+
+func forwardBorrowed(p *Proc) {
+	half := p.RecvLent(1)
+	p.sendOwned(2, half) // want `sendOwned of borrowed buffer half \(the lender's memory\) in forwardBorrowed`
+}
+
+func stashBorrowed(p *Proc) {
+	half := p.RecvLent(1)
+	p.stash = half // want `borrowed buffer half stored into field stash \(a borrow must not outlive its exchange\) in stashBorrowed`
+}
+
+func globalBorrowed(p *Proc) {
+	sink = p.RecvLent(1) // want `borrowed buffer from RecvLent stored into global sink \(a borrow must not outlive its exchange\) in globalBorrowed`
+}
+
+func elementBorrowed(p *Proc, halves [][]float32, byRank map[int][]float32) {
+	half := p.RecvLent(1)
+	halves[0] = half // want `borrowed buffer half stored into an element \(a borrow must not outlive its exchange\) in elementBorrowed`
+	byRank[1] = half // want `borrowed buffer half stored into an element \(a borrow must not outlive its exchange\) in elementBorrowed`
+}
+
+func channelBorrowed(p *Proc, out chan []float32) {
+	half := p.RecvLent(1)
+	out <- half // want `borrowed buffer half sent over a channel \(a borrow must not outlive its exchange\) in channelBorrowed`
+}
+
+func literalBorrowed(p *Proc) envelope {
+	half := p.RecvLent(1)
+	return envelope{data: half} // want `borrowed buffer half stored into composite literal \(a borrow must not outlive its exchange\) in literalBorrowed`
 }
 
 // --- loop shapes: a buffer released every iteration is clean; one

@@ -54,7 +54,8 @@ func (c *Communicator) rvhSum(x []float32) {
 // x, which every rank holds in the same full-size buffer: the reduction
 // happens in place in this rank's half, and the allgather unwind
 // receives the peer's half directly into its home position in x, so no
-// level allocates. Received transport buffers are recycled to the pool.
+// level allocates. The halving half is lent when uncompressed (see
+// sendHalf); received transport buffers are recycled to the pool.
 //
 //adasum:noalloc
 func (c *Communicator) rvhSumRec(x []float32, lo, hi, d int) {
@@ -64,23 +65,23 @@ func (c *Communicator) rvhSumRec(x []float32, lo, hi, d int) {
 	var nghr, nlo, nhi int
 	if left {
 		nghr = c.mypos + d
-		c.send(g[nghr], x[mid:hi])
-		theirs := c.recvNew(g[nghr], mid-lo)
+		c.sendHalf(g[nghr], x[mid:hi])
+		theirs := c.recvHalf(g[nghr], mid-lo)
 		mine := x[lo:mid]
 		for i := range mine {
 			mine[i] += theirs[i]
 		}
-		p.Release(theirs)
+		c.releaseHalf(theirs)
 		nlo, nhi = lo, mid
 	} else {
 		nghr = c.mypos - d
-		c.send(g[nghr], x[lo:mid])
-		theirs := c.recvNew(g[nghr], hi-mid)
+		c.sendHalf(g[nghr], x[lo:mid])
+		theirs := c.recvHalf(g[nghr], hi-mid)
 		mine := x[mid:hi]
 		for i := range mine {
 			mine[i] += theirs[i]
 		}
-		p.Release(theirs)
+		c.releaseHalf(theirs)
 		nlo, nhi = mid, hi
 	}
 	p.ComputeReduce(4 * int64(nhi-nlo))
@@ -123,7 +124,8 @@ func (c *Communicator) adasumRVH(x []float32, layout tensor.Layout) {
 // of x. Every rank keeps its working slice inside the same full-size
 // buffer at its home offset: the combine writes into this rank's half
 // of the window in place, and the allgather unwind receives the peer's
-// half directly into its home position — no level builds fresh slices.
+// half directly into its home position — no level builds fresh slices,
+// and an uncompressed level lends the half it ships (see sendHalf).
 // d is the neighbor distance; dots is the reusable flattened per-layer
 // partial buffer (3 entries per layer of layout).
 //
@@ -137,14 +139,14 @@ func (c *Communicator) adasumRVHRec(x []float32, lo, hi, d int, layout tensor.La
 	var nghr, nlo, nhi int
 	if left { // lines 3-7: keep left half, receive neighbor's left half
 		nghr = c.mypos + d
-		c.send(g[nghr], x[mid:hi])
-		recv = c.recvNew(g[nghr], mid-lo)
+		c.sendHalf(g[nghr], x[mid:hi])
+		recv = c.recvHalf(g[nghr], mid-lo)
 		a, b, dst = x[lo:mid], recv, x[lo:mid]
 		nlo, nhi = lo, mid
 	} else { // lines 8-13: keep right half, receive neighbor's right half
 		nghr = c.mypos - d
-		c.send(g[nghr], x[lo:mid])
-		recv = c.recvNew(g[nghr], hi-mid)
+		c.sendHalf(g[nghr], x[lo:mid])
+		recv = c.recvHalf(g[nghr], hi-mid)
 		a, b, dst = recv, x[mid:hi], x[mid:hi]
 		nlo, nhi = mid, hi
 	}
@@ -164,13 +166,16 @@ func (c *Communicator) adasumRVHRec(x []float32, lo, hi, d int, layout tensor.La
 	// Line 18: apply the combine with the completed dot products.
 	adasum.CombineWindow(dst, a, b, nlo, layout, dots)
 	p.ComputeReduce(2 * 4 * int64(len(a)))
-	p.Release(recv)
+	c.releaseHalf(recv)
 
 	if d2 < len(g) { // lines 19-21
 		c.adasumRVHRec(x, nlo, nhi, d2, layout, dots)
 	}
 
 	// Lines 22-24: allgather unwind — exchange finished halves into place.
+	// The recvInto below is the first write to the half lent above. The
+	// send still copies: nothing orders the partner's read of it before
+	// this rank returns and its caller writes x.
 	c.send(g[nghr], x[nlo:nhi])
 	if left {
 		c.recvInto(g[nghr], x[mid:hi])

@@ -346,6 +346,46 @@ func (c *Communicator) recvInto(src int, dst []float32) {
 	}
 }
 
+// The RVH halving exchange: the half a rank ships at a level is lent
+// rather than copied when the communicator is uncompressed. The lender
+// next writes that half in the same level's allgather recvInto, whose
+// message the partner sends only after its combine has read the half,
+// so the channel hand-off orders the write after the read. A compressed
+// or adaptive communicator encodes into an owned pool buffer instead.
+
+// sendHalf ships the reduce-scatter half x to world rank dst.
+//
+//adasum:noalloc
+func (c *Communicator) sendHalf(dst int, x []float32) {
+	if c.stream == nil {
+		c.p.Lend(dst, x)
+		return
+	}
+	c.send(dst, x)
+}
+
+// recvHalf receives the partner's n-element reduce-scatter half from
+// world rank src: borrowed when lent, pooled otherwise. Settle it with
+// releaseHalf once the combine has read it.
+//
+//adasum:noalloc
+func (c *Communicator) recvHalf(src, n int) []float32 {
+	if c.stream == nil {
+		return c.p.RecvLent(src)
+	}
+	return c.recvNew(src, n)
+}
+
+// releaseHalf returns a recvHalf result to the pool unless it was
+// borrowed.
+//
+//adasum:noalloc
+func (c *Communicator) releaseHalf(buf []float32) {
+	if c.stream != nil {
+		c.p.Release(buf)
+	}
+}
+
 // ---------------------------------------------------------------------
 // Strategy resolution.
 

@@ -37,7 +37,10 @@
 // classes, and receivers can hand buffers back with Release/RecvInto, so
 // a steady-state collective allocates nothing. The copy semantics (the
 // caller may reuse its slice immediately after Send) and the
-// virtual-clock accounting are unchanged by pooling.
+// virtual-clock accounting are unchanged by pooling. Lend/RecvLent skip
+// the copy altogether for a sender that can prove it leaves the slice
+// alone until the receiver has read it; a lent payload is charged like
+// a copied one and never enters the pool.
 //
 // Compressed payloads ride the same substrate: SendCompressed encodes a
 // vector into wire words through a compress.Stream and transmits only
@@ -68,6 +71,9 @@ type message struct {
 	meta    []float64 // secondary channel for dot-product partials
 	ctl     []int     // control-plane payload (communicator construction)
 	arrival float64   // sender clock + transfer cost
+	// lent marks data as the sender's own memory (Lend), not a pooled
+	// copy: only RecvLent may take it, and it never enters the pool.
+	lent bool
 }
 
 // link is one directed (src, dst) FIFO, created on first use and
@@ -243,8 +249,9 @@ func (w *World) newLinkLocked(cap int) *link {
 
 // recycleLinksLocked drains every link of pl and pushes it onto the
 // free list, clearing the plane's pointers. Dropped messages are not
-// returned to the pool (an abort is not a steady-state path). Caller
-// holds linkMu.
+// returned to the pool (an abort is not a steady-state path) — which
+// also keeps a dropped lent payload, the sender's own memory, out of
+// it. Caller holds linkMu.
 func (w *World) recycleLinksLocked(pl *plane) {
 	for s := range pl.rows {
 		row := pl.rows[s].Load()
@@ -527,11 +534,47 @@ func (p *Proc) ComputeMemCopy(bytes int64) {
 }
 
 // Send transmits data to rank dst. The slice is copied, so the caller may
-// reuse it immediately.
+// reuse it immediately. Lend is the copy-free alternative for a sender
+// that can prove it leaves the slice alone until the receiver is done.
 //
 //adasum:noalloc
 func (p *Proc) Send(dst int, data []float32) {
 	p.send(dst, data, nil)
+}
+
+// Lend transmits data to rank dst without copying it: the message
+// carries the caller's slice, and the receiver must take it with
+// RecvLent and only read it. The caller must not write data until a
+// later message from dst proves dst has finished reading it — the
+// ordering argument is the caller's to make (collective's RVH halving
+// makes it with the allgather reply). Lend charges exactly what Send of
+// the same length charges: transfer cost, the wire meter and the
+// endpoint's net charges.
+//
+//adasum:noalloc
+func (p *Proc) Lend(dst int, data []float32) {
+	arrival := p.charge(dst, len(data), 0)
+	p.deliver(dst, message{data: data, lent: true, arrival: arrival})
+}
+
+// charge bills a payload of nFloats float32s and nMeta float64s sent to
+// dst — the transfer cost, the rank's wire meter and the endpoint's net
+// charges — and returns its arrival time. It is the one place every
+// data-plane send is priced, so the copied, owned and lent forms cost
+// the same.
+//
+//adasum:noalloc
+func (p *Proc) charge(dst, nFloats, nMeta int) float64 {
+	if dst == p.rank {
+		panic("comm: send to self")
+	}
+	p.checkPeer(dst)
+	cost := p.world.transferCost(p.rank, dst, nFloats, nMeta)
+	nb := int64(nFloats)*4 + int64(nMeta)*8
+	p.world.wire[p.rank].n.Add(nb)
+	p.netSec += cost
+	p.netBytes += nb
+	return p.clock + cost
 }
 
 // SendMeta transmits a float64 side payload (dot-product partials) to dst.
@@ -543,10 +586,7 @@ func (p *Proc) SendMeta(dst int, meta []float64) {
 
 //adasum:noalloc
 func (p *Proc) send(dst int, data []float32, meta []float64) {
-	if dst == p.rank {
-		panic("comm: send to self")
-	}
-	p.checkPeer(dst)
+	arrival := p.charge(dst, len(data), len(meta))
 	var dc []float32
 	if data != nil {
 		dc = p.world.pool.getF32(p.rank, len(data))
@@ -557,13 +597,8 @@ func (p *Proc) send(dst int, data []float32, meta []float64) {
 		mc = p.world.pool.getF64(p.rank, len(meta))
 		copy(mc, meta)
 	}
-	cost := p.world.transferCost(p.rank, dst, len(data), len(meta))
-	nb := int64(len(data))*4 + int64(len(meta))*8
-	p.world.wire[p.rank].n.Add(nb)
-	p.netSec += cost
-	p.netBytes += nb
 	//adasum:poolown ok ownership rides the in-flight message; the receiver recycles via Recv/Release
-	p.deliver(dst, message{data: dc, meta: mc, arrival: p.clock + cost})
+	p.deliver(dst, message{data: dc, meta: mc, arrival: arrival})
 }
 
 // deliver enqueues msg to dst, unblocking with a RankFailure if dst is
@@ -596,16 +631,8 @@ func (p *Proc) deliver(dst int, msg message) {
 //
 //adasum:noalloc
 func (p *Proc) sendOwned(dst int, buf []float32) {
-	if dst == p.rank {
-		panic("comm: send to self")
-	}
-	p.checkPeer(dst)
-	cost := p.world.transferCost(p.rank, dst, len(buf), 0)
-	nb := int64(len(buf)) * 4
-	p.world.wire[p.rank].n.Add(nb)
-	p.netSec += cost
-	p.netBytes += nb
-	p.deliver(dst, message{data: buf, arrival: p.clock + cost})
+	arrival := p.charge(dst, len(buf), 0)
+	p.deliver(dst, message{data: buf, arrival: arrival})
 }
 
 // SendCompressed encodes data through st and transmits only the wire
@@ -815,11 +842,39 @@ func (p *Proc) recv(src int) ([]float32, []float64) {
 	if msg.ctl != nil {
 		panic("comm: data receive got a control message (control/data ordering mismatch)")
 	}
-	if msg.arrival > p.clock {
-		p.clock = msg.arrival
+	if msg.lent {
+		panic("comm: copying receive got a lent message (Lend must be matched by RecvLent)")
+	}
+	p.arrive(msg.arrival)
+	return msg.data, msg.meta
+}
+
+// RecvLent receives a payload src sent with Lend, advancing the virtual
+// clock to its arrival exactly as Recv does. The result is borrowed: it
+// is src's own memory, valid until this rank sends src a message that
+// lets src write it again. Read it; never write it, keep it, Release it
+// or send it on. A copied message panics here, as a lent one does in
+// every other receive.
+//
+//adasum:noalloc
+func (p *Proc) RecvLent(src int) []float32 {
+	msg := p.recvMsg(src)
+	if !msg.lent {
+		panic("comm: RecvLent got a copied or control message (RecvLent must match a Lend)")
+	}
+	p.arrive(msg.arrival)
+	return msg.data
+}
+
+// arrive advances the clock to a message's arrival time, failing the
+// rank if that crosses its injected deadline.
+//
+//adasum:noalloc
+func (p *Proc) arrive(arrival float64) {
+	if arrival > p.clock {
+		p.clock = arrival
 		p.maybeFail()
 	}
-	return msg.data, msg.meta
 }
 
 // SendRecv exchanges vectors with a peer: sends sendBuf, receives and

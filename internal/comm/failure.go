@@ -123,7 +123,8 @@ func (w *World) Alive(r int) bool { return !w.dead[r].flag.Load() }
 // only as observers of the cascade are revived. Ranks that originated a
 // failure (injected deadline or genuine panic) stay dead — their fail-at
 // deadline has passed for good. Buffers inside dropped messages are not
-// returned to the pool; an abort is not a steady-state path.
+// returned to the pool; an abort is not a steady-state path, and a
+// dropped lent payload is its sender's memory, never the pool's.
 // Links are not reallocated: every plane's links are drained and
 // recycled through the free list, so repeated fail/reset/rebuild cycles
 // reuse the same channels instead of regrowing the fabric.

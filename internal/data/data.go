@@ -215,8 +215,19 @@ func NewIterator(n, batch int, seed int64) *Iterator {
 	return it
 }
 
+// reshuffle draws the next epoch's permutation into the reused perm
+// buffer. The loop is rand.Perm's — the same Intn draws in the same
+// order, reading only entries it has already written — so the sequence
+// is exactly rand.Perm's without a new slice every epoch.
 func (it *Iterator) reshuffle() {
-	it.perm = it.rng.Perm(it.n)
+	if it.perm == nil {
+		it.perm = make([]int, it.n)
+	}
+	for i := range it.perm {
+		j := it.rng.Intn(i + 1)
+		it.perm[i] = it.perm[j]
+		it.perm[j] = i
+	}
 	it.cursor = 0
 	it.reshuffles++
 }
@@ -249,7 +260,8 @@ func (it *Iterator) Restore(reshuffles int64, cursor int) {
 
 // Next returns the next batch of sample indices, reshuffling at epoch
 // boundaries. Batches never span epochs; a short tail batch is returned
-// at the end of an epoch.
+// at the end of an epoch. The batch is a window of the iterator's
+// permutation buffer, valid until the next call.
 func (it *Iterator) Next() []int {
 	if it.cursor >= it.n {
 		it.reshuffle()

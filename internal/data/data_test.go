@@ -1,6 +1,7 @@
 package data
 
 import (
+	"math/rand"
 	"testing"
 )
 
@@ -217,6 +218,23 @@ func TestIteratorReshuffles(t *testing.T) {
 	}
 	if same {
 		t.Fatal("second epoch used identical order")
+	}
+}
+
+// The in-place reshuffle must draw exactly rand.Perm's permutations,
+// epoch after epoch: the shuffle stream is part of every golden run.
+func TestIteratorMatchesRandPerm(t *testing.T) {
+	const n, seed = 37, 5
+	it := NewIterator(n, n, seed)
+	rng := rand.New(rand.NewSource(seed))
+	for epoch := 0; epoch < 4; epoch++ {
+		want := rng.Perm(n)
+		got := it.Next()
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("epoch %d: permutation %v, rand.Perm gives %v", epoch, got, want)
+			}
+		}
 	}
 }
 

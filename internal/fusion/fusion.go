@@ -16,6 +16,8 @@ import (
 
 // Group is one fused buffer: the packed data, the layout of member
 // tensors inside it, and the indices of the original tensors it holds.
+// Data may alias a member tensor: a Packer hands out a one-member
+// bucket as a view of that tensor rather than a copy.
 type Group struct {
 	Data    []float32
 	Layout  tensor.Layout
@@ -76,14 +78,19 @@ func Fuse(tensors [][]float32, names []string, thresholdBytes int) []Group {
 }
 
 // Unfuse copies the group's (reduced) data back into the original
-// tensors.
+// tensors, skipping any member whose tensor is the group's own memory
+// (a view bucket already holds its result in place).
 func (g *Group) Unfuse(tensors [][]float32) {
 	for i, m := range g.Members {
 		lo, hi := g.Layout.Bounds(i)
-		if len(tensors[m]) != hi-lo {
-			panic(fmt.Sprintf("fusion: member %d size changed (%d != %d)", m, len(tensors[m]), hi-lo))
+		dst := tensors[m]
+		if len(dst) != hi-lo {
+			panic(fmt.Sprintf("fusion: member %d size changed (%d != %d)", m, len(dst), hi-lo))
 		}
-		copy(tensors[m], g.Data[lo:hi])
+		if len(dst) == 0 || &dst[0] == &g.Data[lo] {
+			continue
+		}
+		copy(dst, g.Data[lo:hi])
 	}
 }
 

@@ -16,6 +16,14 @@ import "repro/internal/tensor"
 // step, a steady-state step performs no allocation as long as the ready
 // sequence keeps the same shape.
 //
+// A bucket with exactly one member is a view: its Data is the member
+// tensor itself, so reducing the bucket reduces the tensor in place and
+// nothing is copied in or out (Unfuse skips it). A bucket of two or more
+// members is packed into its skeleton buffer in ready order — the order
+// the members were declared, which is not their order in any caller's
+// flat vector, so it cannot be a view without changing which elements
+// a position-halving collective pairs up.
+//
 // A Packer is not safe for concurrent use, and the Groups it returns
 // remain owned by it: they are valid until the Reset after next.
 type Packer struct {
@@ -83,7 +91,8 @@ func (pk *Packer) clearCur() {
 
 // flush materializes the pending bucket into the next cached skeleton,
 // rebuilding the skeleton only when the bucket's shape changed since the
-// previous step, and copies the member tensors into the fused buffer.
+// previous step. A one-member bucket views its tensor; any other bucket
+// copies its members into the skeleton's fused buffer.
 func (pk *Packer) flush() *Group {
 	if len(pk.curMembers) == 0 {
 		return nil
@@ -96,19 +105,23 @@ func (pk *Packer) flush() *Group {
 		pk.cache = append(pk.cache, g)
 	}
 	pk.seq++
+	view := len(pk.curMembers) == 1
 	if !pk.shapeMatches(g) {
 		layout := tensor.NewLayout(
 			append([]string(nil), pk.curNames...),
 			append([]int(nil), pk.curSizes...))
-		*g = Group{
-			Data:    make([]float32, layout.TotalSize()),
-			Layout:  layout,
-			Members: append([]int(nil), pk.curMembers...),
+		*g = Group{Layout: layout, Members: append([]int(nil), pk.curMembers...)}
+		if !view {
+			g.Data = make([]float32, layout.TotalSize())
 		}
 	}
-	for i, t := range pk.curTensors {
-		lo, _ := g.Layout.Bounds(i)
-		copy(g.Data[lo:lo+len(t)], t)
+	if view {
+		g.Data = pk.curTensors[0]
+	} else {
+		for i, t := range pk.curTensors {
+			lo, _ := g.Layout.Bounds(i)
+			copy(g.Data[lo:lo+len(t)], t)
+		}
 	}
 	pk.clearCur()
 	return g

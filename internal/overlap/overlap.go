@@ -384,10 +384,13 @@ func (e *Engine) drainOnPanic() {
 	}
 }
 
-// launch ships one fused bucket: the pack copy is charged to the rank;
-// under compression the bucket is then quantized in place at source
-// (one charged encode pass, with error feedback against this rank's
-// slot residual); and the bucket's collective starts on its own plane,
+// launch ships one fused bucket: the pack copy is charged to the rank
+// (also for a one-layer bucket, which the Packer hands out as a view of
+// x — the modeled system is Horovod's fusion buffer, which copies, and
+// the join charges the unfuse the same way); under compression the
+// bucket is then quantized in place at source (one charged encode
+// pass, with error feedback against this rank's slot residual); and
+// the bucket's collective starts on its own plane,
 // chained after the previous bucket (one serialized comm stream per
 // rank). Under an adaptive policy the slot's codec is decided here,
 // before the quantize, from rank-private telemetry — every input is a

@@ -710,42 +710,6 @@ func (r *run) tryStep() (loss, simSec float64, failure *comm.RunError) {
 	cfg := r.cfg
 	lr := cfg.Schedule.LR(r.step)
 
-	runWorker := func(w *worker, wi int) {
-		switch cfg.Scope {
-		case PreOptimizer:
-			// The replica reads the master's parameters in place. One
-			// local step's gradient is the contribution as it stands
-			// (w.grad is the replica's gradient vector: Gradient fills it
-			// from +0, the reduction may overwrite it, the next Gradient
-			// clears it).
-			if cfg.LocalSteps == 1 {
-				x, labels, b := nextBatch(w)
-				r.losses[wi] = w.net.Gradient(x, labels, b)
-				break
-			}
-			// Accumulate mean gradient over LocalSteps microbatches.
-			tensor.Zero(w.grad)
-			var loss float64
-			for ls := 0; ls < cfg.LocalSteps; ls++ {
-				x, labels, b := nextBatch(w)
-				loss += w.net.Gradient(x, labels, b)
-				tensor.Axpy(1/float32(cfg.LocalSteps), w.net.Grads(), w.grad)
-			}
-			r.losses[wi] = loss / float64(cfg.LocalSteps)
-		case PostOptimizer, LocalSGD:
-			// Figure 3: run the optimizer locally, contribute the delta.
-			w.net.SetParams(r.params)
-			var loss float64
-			for ls := 0; ls < cfg.LocalSteps; ls++ {
-				x, labels, b := nextBatch(w)
-				loss += w.net.Gradient(x, labels, b)
-				w.opt.Step(w.net.Params(), w.net.Grads(), lr)
-			}
-			r.losses[wi] = loss / float64(cfg.LocalSteps)
-			tensor.Sub(w.grad, w.net.Params(), r.params) // effective gradient
-		}
-	}
-
 	if cfg.Parallel && len(r.active) > 1 {
 		var wg sync.WaitGroup
 		sem := make(chan struct{}, runtime.GOMAXPROCS(0))
@@ -754,14 +718,14 @@ func (r *run) tryStep() (loss, simSec float64, failure *comm.RunError) {
 			go func(w *worker, wi int) {
 				defer wg.Done()
 				sem <- struct{}{}
-				runWorker(w, wi)
+				r.runWorker(w, wi, lr)
 				<-sem
 			}(r.workers[rank], rank)
 		}
 		wg.Wait()
 	} else {
 		for _, rank := range r.active {
-			runWorker(r.workers[rank], rank)
+			r.runWorker(r.workers[rank], rank, lr)
 		}
 	}
 
@@ -810,6 +774,46 @@ func (r *run) tryStep() (loss, simSec float64, failure *comm.RunError) {
 	return total / float64(len(r.active)), simSec, nil
 }
 
+// runWorker runs worker w's (world rank wi) local steps of one attempt
+// at learning rate lr, leaving its contribution in w.grad and its mean
+// local loss in r.losses[wi].
+func (r *run) runWorker(w *worker, wi int, lr float64) {
+	cfg := &r.cfg
+	switch cfg.Scope {
+	case PreOptimizer:
+		// The replica reads the master's parameters in place. One
+		// local step's gradient is the contribution as it stands
+		// (w.grad is the replica's gradient vector: Gradient fills it
+		// from +0, the reduction may overwrite it, the next Gradient
+		// clears it).
+		if cfg.LocalSteps == 1 {
+			x, labels, b := nextBatch(w)
+			r.losses[wi] = w.net.Gradient(x, labels, b)
+			break
+		}
+		// Accumulate mean gradient over LocalSteps microbatches.
+		tensor.Zero(w.grad)
+		var loss float64
+		for ls := 0; ls < cfg.LocalSteps; ls++ {
+			x, labels, b := nextBatch(w)
+			loss += w.net.Gradient(x, labels, b)
+			tensor.Axpy(1/float32(cfg.LocalSteps), w.net.Grads(), w.grad)
+		}
+		r.losses[wi] = loss / float64(cfg.LocalSteps)
+	case PostOptimizer, LocalSGD:
+		// Figure 3: run the optimizer locally, contribute the delta.
+		w.net.SetParams(r.params)
+		var loss float64
+		for ls := 0; ls < cfg.LocalSteps; ls++ {
+			x, labels, b := nextBatch(w)
+			loss += w.net.Gradient(x, labels, b)
+			w.opt.Step(w.net.Params(), w.net.Grads(), lr)
+		}
+		r.losses[wi] = loss / float64(cfg.LocalSteps)
+		tensor.Sub(w.grad, w.net.Params(), r.params) // effective gradient
+	}
+}
+
 // hookContributions presents the active contributions to the Hook:
 // the dense world-rank slice while the gang is whole (the steady state,
 // no copying), a compacted one after a shrink.
@@ -832,6 +836,11 @@ type commEngine struct {
 	world   *comm.World
 	engines []*overlap.Engine
 	clocks  []float64 // per-rank final clocks of the last reduce
+	// contributions is the current reduce's input, indexed by world
+	// rank, and body is stepRank bound once, so a reduce hands RunErr
+	// the same func value every step instead of a fresh closure.
+	contributions [][]float32
+	body          func(p *comm.Proc)
 }
 
 // newCommEngine builds the substrate for CommCluster, or returns nil
@@ -864,7 +873,9 @@ func newCommEngine(cfg Config, layout tensor.Layout) *commEngine {
 			Faults:     faults,
 		})
 	}
-	return &commEngine{world: world, engines: engines, clocks: make([]float64, cfg.Workers)}
+	ce := &commEngine{world: world, engines: engines, clocks: make([]float64, cfg.Workers)}
+	ce.body = ce.stepRank
+	return ce
 }
 
 // reduce runs one bucketed reduction over the active ranks'
@@ -885,13 +896,8 @@ func (ce *commEngine) reduce(contributions [][]float32, active []int, base float
 		ce.engines[rank].SeekStep(step)
 		ce.clocks[rank] = base
 	}
-	err := ce.world.RunErr(func(p *comm.Proc) {
-		// Record the clock even when the step aborts: the virtual time a
-		// failed attempt burned — partial buckets, failure detection — is
-		// real elapsed time the run must account for.
-		defer func() { ce.clocks[p.Rank()] = p.Clock() }()
-		ce.engines[p.Rank()].Step(p, contributions[p.Rank()])
-	})
+	ce.contributions = contributions
+	err := ce.world.RunErr(ce.body)
 	m := base
 	for _, rank := range active {
 		if c := ce.clocks[rank]; c > m {
@@ -899,6 +905,16 @@ func (ce *commEngine) reduce(contributions [][]float32, active []int, base float
 		}
 	}
 	return m - base, err
+}
+
+// stepRank is one rank's share of reduce: its engine's Step over its
+// contribution.
+func (ce *commEngine) stepRank(p *comm.Proc) {
+	// Record the clock even when the step aborts: the virtual time a
+	// failed attempt burned — partial buckets, failure detection — is
+	// real elapsed time the run must account for.
+	defer func() { ce.clocks[p.Rank()] = p.Clock() }()
+	ce.engines[p.Rank()].Step(p, ce.contributions[p.Rank()])
 }
 
 func nextBatch(w *worker) ([]float32, []int, int) {
