@@ -186,43 +186,77 @@ func BenchmarkFP16Wire(b *testing.B) {
 // encoder layers at microbatch 16 (train_compute, samples on the lanes),
 // 4 (serve_mix's batch; that workload's own layers are smaller) and 1
 // (train_comm; both outputs on the lanes), the optimizers over a
-// model-sized vector, and the element-wise
-// family over a fusion bucket and over one 128-wide weight row (what
-// Dense.Backward passes Axpy). All must report 0 allocs/op.
+// model-sized vector, and the element-wise family over a fusion bucket
+// and over one 128-wide weight row. All must report 0 allocs/op.
 // internal/tensor's BenchmarkDenseCrossover is the evidence for the
-// batch crossover.
+// forward pass's batch crossover.
 
-func benchDense(batch int) (*nn.Network, []float32) {
-	net := nn.NewNetwork(nn.NewDense("fc", 128, 128))
-	net.Init(rand.New(rand.NewSource(5)))
-	x := randVec(batch*128, 6)
-	net.Forward(x, batch) // size the layer's buffers
-	return net, x
+func benchDense(in, out, batch int) (*nn.Dense, []float32) {
+	d := nn.NewDense("fc", in, out)
+	nn.NewNetwork(d).Init(rand.New(rand.NewSource(5)))
+	x := randVec(batch*in, 6)
+	d.Forward(x, batch) // size the layer's buffers
+	return d, x
 }
 
 func BenchmarkDenseForward(b *testing.B) {
 	for _, batch := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("batch%d", batch), func(b *testing.B) {
-			net, x := benchDense(batch)
+			d, x := benchDense(128, 128, batch)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				net.Forward(x, batch)
+				d.Forward(x, batch)
 			}
 		})
 	}
 }
 
+// BenchmarkDenseBackward is one layer's whole backward pass, input
+// gradient included, adding into the layer's gradient: the BERT proxy's
+// three layer shapes at train_compute's microbatch 16 and the comm MLP's
+// two at train_comm's microbatch 1.
 func BenchmarkDenseBackward(b *testing.B) {
-	for _, batch := range []int{1, 16} {
-		b.Run(fmt.Sprintf("batch%d", batch), func(b *testing.B) {
-			net, _ := benchDense(batch)
-			dy := randVec(batch*128, 7)
-			net.Backward(dy, batch)
+	for _, shape := range [][3]int{{128, 128, 1}, {128, 128, 16}, {256, 128, 16}, {128, 16, 16}, {256, 192, 1}, {192, 192, 1}} {
+		in, out, batch := shape[0], shape[1], shape[2]
+		b.Run(fmt.Sprintf("%dx%d/batch%d", in, out, batch), func(b *testing.B) {
+			d, _ := benchDense(in, out, batch)
+			dy := randVec(batch*out, 7)
+			d.Backward(dy, batch)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				net.Backward(dy, batch)
+				d.Backward(dy, batch)
+			}
+		})
+	}
+}
+
+// BenchmarkNetworkGradient is one worker's Gradient (forward, loss,
+// backward) on train_compute's BERT proxy at microbatch 16 and
+// train_comm's MLP at microbatch 1.
+func BenchmarkNetworkGradient(b *testing.B) {
+	for _, tc := range []struct {
+		name  string
+		net   *nn.Network
+		batch int
+	}{
+		{"bert/batch16", nn.NewBERTProxy(256, 16, 128, 4), 16},
+		{"mlp/batch1", nn.NewMLP(256, 192, 192, 192, 192, 16), 1},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			net, batch := tc.net, tc.batch
+			net.Init(rand.New(rand.NewSource(5)))
+			x := randVec(batch*net.InDim(), 6)
+			labels := make([]int, batch)
+			for i := range labels {
+				labels[i] = i % net.OutDim()
+			}
+			net.Gradient(x, labels, batch)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				net.Gradient(x, labels, batch)
 			}
 		})
 	}

@@ -50,7 +50,7 @@
 // See DESIGN.md for the design record of the reduction hot path — the
 // fused single-pass dot/norm kernels (with their AVX+FMA fast path), the
 // bit-exact AVX lane kernels behind the rest of the per-rank arithmetic
-// (tensor.Axpy/Sub/ScaledCombine, DenseForward under nn.Dense,
+// (tensor.Axpy/Sub/ScaledCombine, DenseForward/DenseBackward under nn.Dense,
 // AdamUpdate/MomentumUpdate under optim — each one assembly body beside
 // the pure-Go twin that defines it; "Lane kernels"), the F16C
 // half-precision kernels under the fp16 wire codec

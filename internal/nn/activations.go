@@ -26,20 +26,24 @@ func (r *ReLU) Init(_ *rand.Rand)   {}
 
 func (r *ReLU) Forward(x []float32, batch int) []float32 {
 	r.x = x
-	r.y = buf(r.y, len(x))
+	r.y = grow(r.y, len(x))
 	for i, v := range x {
 		if v > 0 {
 			r.y[i] = v
+		} else {
+			r.y[i] = 0
 		}
 	}
 	return r.y
 }
 
 func (r *ReLU) Backward(dy []float32, batch int) []float32 {
-	r.dx = buf(r.dx, len(dy))
+	r.dx = grow(r.dx, len(dy))
 	for i, v := range r.x {
 		if v > 0 {
 			r.dx[i] = dy[i]
+		} else {
+			r.dx[i] = 0
 		}
 	}
 	return r.dx
@@ -64,7 +68,7 @@ func (t *Tanh) Bind(_, _ []float32) {}
 func (t *Tanh) Init(_ *rand.Rand)   {}
 
 func (t *Tanh) Forward(x []float32, batch int) []float32 {
-	t.y = buf(t.y, len(x))
+	t.y = grow(t.y, len(x))
 	for i, v := range x {
 		t.y[i] = float32(math.Tanh(float64(v)))
 	}
@@ -72,7 +76,7 @@ func (t *Tanh) Forward(x []float32, batch int) []float32 {
 }
 
 func (t *Tanh) Backward(dy []float32, batch int) []float32 {
-	t.dx = buf(t.dx, len(dy))
+	t.dx = grow(t.dx, len(dy))
 	for i, y := range t.y {
 		t.dx[i] = dy[i] * (1 - y*y)
 	}
@@ -124,10 +128,10 @@ func (l *LayerNorm) Init(_ *rand.Rand) {
 
 func (l *LayerNorm) Forward(x []float32, batch int) []float32 {
 	l.x = x
-	l.y = buf(l.y, len(x))
-	l.xhat = buf(l.xhat, len(x))
-	l.mu = buf(l.mu, batch)
-	l.sigma = buf(l.sigma, batch)
+	l.y = grow(l.y, len(x))
+	l.xhat = grow(l.xhat, len(x))
+	l.mu = grow(l.mu, batch)
+	l.sigma = grow(l.sigma, batch)
 	d := l.dim
 	for s := 0; s < batch; s++ {
 		xi := x[s*d : (s+1)*d]
@@ -155,7 +159,7 @@ func (l *LayerNorm) Forward(x []float32, batch int) []float32 {
 }
 
 func (l *LayerNorm) Backward(dy []float32, batch int) []float32 {
-	l.dx = buf(l.dx, len(dy))
+	l.dx = grow(l.dx, len(dy))
 	d := l.dim
 	for s := 0; s < batch; s++ {
 		dyi := dy[s*d : (s+1)*d]

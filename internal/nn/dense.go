@@ -25,6 +25,11 @@ type Dense struct {
 	// Dense of the owning Network (layers run one at a time); nil for a
 	// layer used on its own, which then never takes the tiled path.
 	scratch []float32
+
+	// overwrite makes the next Backward write gw and gb as if they had
+	// been cleared first, instead of adding to them; Network.Gradient
+	// sets it in place of clearing this layer's gradient.
+	overwrite bool
 }
 
 // NewDense creates a fully connected layer with bias.
@@ -67,31 +72,30 @@ func (d *Dense) Forward(x []float32, batch int) []float32 {
 	return d.y
 }
 
-// Backward accumulates, for every (sample, output) with a non-zero
-// upstream gradient g, dx[s] += g*w[o] and then gw[o] += g*x[s] — two
-// tensor.Axpy calls, element for element the operations of a fused loop
-// since dx, gw, w and x never overlap. Outputs are the outer loop so
-// that w[o] and gw[o] stay in L1 across the batch; every element of dx
-// still receives its terms in ascending o and every element of gw and gb
-// in ascending s, so the sums round exactly as with samples outermost.
-// Skipping g == 0 is what makes ReLU sparsity pay.
+// Backward is tensor.DenseBackward over the bound weights and the input
+// cached by Forward: for every (sample, output) with a non-zero upstream
+// gradient g it adds g·x[s] to gw[o], g to gb[o] and g·w[o] to dx[s] —
+// the terms of every gw and gb element over ascending s, of every dx
+// element over ascending o, exactly the old per-sample loop's sums (see
+// DESIGN.md, "Lane kernels"). Skipping g == 0 is what makes ReLU
+// sparsity pay. The gradients are added to what the bound slices hold,
+// except right after Network.Gradient's clear (see there).
 func (d *Dense) Backward(dy []float32, batch int) []float32 {
+	return d.backward(dy, batch, true)
+}
+
+// backward is Backward, with the input gradient skipped (nil returned)
+// when nothing reads it.
+func (d *Dense) backward(dy []float32, batch int, wantDX bool) []float32 {
 	if batch != d.last {
 		panic(fmt.Sprintf("nn: Dense %s backward batch %d != forward batch %d", d.name, batch, d.last))
 	}
-	d.dx = buf(d.dx, batch*d.in)
-	for o := 0; o < d.out; o++ {
-		row := d.w[o*d.in : (o+1)*d.in]
-		grow := d.gw[o*d.in : (o+1)*d.in]
-		for s := 0; s < batch; s++ {
-			g := dy[s*d.out+o]
-			if g == 0 {
-				continue
-			}
-			tensor.Axpy(g, row, d.dx[s*d.in:(s+1)*d.in])
-			tensor.Axpy(g, d.x[s*d.in:(s+1)*d.in], grow)
-			d.gb[o] += g
-		}
+	var dx []float32
+	if wantDX {
+		d.dx = grow(d.dx, batch*d.in) // every element is written
+		dx = d.dx
 	}
-	return d.dx
+	tensor.DenseBackward(dx, d.gw, d.gb, dy, d.x, d.w, batch, d.in, d.out, !d.overwrite)
+	d.overwrite = false
+	return dx
 }

@@ -38,7 +38,9 @@ type Layer interface {
 	// matching Backward call.
 	Forward(x []float32, batch int) []float32
 	// Backward consumes dL/dy, accumulates parameter gradients into the
-	// bound grad slice, and returns dL/dx.
+	// bound grad slice, and returns dL/dx. (Within Network.Gradient a
+	// Dense writes its gradient instead, in place of the clear; see
+	// there.)
 	Backward(dy []float32, batch int) []float32
 }
 

@@ -170,22 +170,41 @@ func (n *Network) Forward(x []float32, batch int) []float32 {
 }
 
 // Backward propagates dLoss/dOutput through the stack, accumulating
-// parameter gradients.
+// parameter gradients. The first layer's input gradient is not part of
+// the result, so a Dense there skips computing it.
 func (n *Network) Backward(dy []float32, batch int) {
 	cur := dy
-	for i := len(n.layers) - 1; i >= 0; i-- {
+	for i := len(n.layers) - 1; i > 0; i-- {
 		cur = n.layers[i].Backward(cur, batch)
+	}
+	if d, ok := n.layers[0].(*Dense); ok {
+		d.backward(cur, batch, false)
+	} else {
+		n.layers[0].Backward(cur, batch)
 	}
 }
 
-// Gradient is a convenience wrapper: zero grads, forward, loss backward.
-// It returns the mean cross-entropy loss over the batch. Labels are class
-// indices. The gradient left in Grads() is the mean over the batch.
+// Gradient computes the mean cross-entropy loss over the batch and leaves
+// its gradient, the mean over the batch, in Grads(): bit for bit
+// ZeroGrads, Forward, the loss gradient and Backward. Labels are class
+// indices. Only the parameters of layers other than Dense are cleared:
+// each Dense writes its gradient instead of adding to it, its register
+// tiles starting from +0 where the clear would have left +0 in memory —
+// the same sums (DESIGN.md, "Lane kernels").
 func (n *Network) Gradient(x []float32, labels []int, batch int) float64 {
-	n.ZeroGrads()
 	logits := n.Forward(x, batch)
 	n.dlogits = grow(n.dlogits, len(logits))
 	loss := softmaxCE(logits, labels, batch, n.OutDim(), n.dlogits)
+	off := 0
+	for _, pl := range n.bound {
+		sz := pl.ParamSize()
+		if d, ok := pl.(*Dense); ok {
+			d.overwrite = true
+		} else {
+			clear(n.grads[off : off+sz])
+		}
+		off += sz
+	}
 	n.Backward(n.dlogits, batch)
 	return loss
 }

@@ -63,7 +63,7 @@ func (r *Residual) Forward(x []float32, batch int) []float32 {
 	for _, l := range r.inner {
 		cur = l.Forward(cur, batch)
 	}
-	r.y = buf(r.y, len(x))
+	r.y = grow(r.y, len(x))
 	for i := range r.y {
 		r.y[i] = cur[i] + x[i]
 	}
@@ -75,7 +75,7 @@ func (r *Residual) Backward(dy []float32, batch int) []float32 {
 	for i := len(r.inner) - 1; i >= 0; i-- {
 		cur = r.inner[i].Backward(cur, batch)
 	}
-	r.dx = buf(r.dx, len(dy))
+	r.dx = grow(r.dx, len(dy))
 	for i := range r.dx {
 		r.dx[i] = cur[i] + dy[i] // inner path + identity skip
 	}

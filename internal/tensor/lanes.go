@@ -7,14 +7,17 @@ import (
 
 // The lane kernels: the per-rank float32 arithmetic of a training step —
 // the element-wise Axpy/Sub/ScaledCombine family (tensor.go), the Dense
-// forward pass, and the Adam and Momentum updates — each as one AVX
-// assembly body (lanes_amd64.s) beside one pure-Go twin. The twin is the
-// definition: every vector lane executes exactly the twin's operations
-// in the twin's order, each product, sum, quotient, square root and
-// conversion rounded on its own (no FMA, no reassociation, no
+// forward and backward passes, and the Adam and Momentum updates — each
+// as one AVX assembly body (lanes_amd64.s) beside one pure-Go twin. The
+// twin is the definition: every vector lane executes exactly the twin's
+// operations in the twin's order, each product, sum, quotient, square
+// root and conversion rounded on its own (no FMA, no reassociation, no
 // reciprocal), so the asm, the twin and the 386 build agree bit for bit
 // on every input (NaN payloads excepted; the outputs-on-lanes forward
-// pass keeps those too). See DESIGN.md, "Lane kernels".
+// pass keeps those too). The one exception is Adam's quotient, which the
+// kernel reassociates and then proves, lane by lane, rounds to the
+// twin's float32 — recomputing it the twin's way where it cannot. See
+// DESIGN.md, "Lane kernels".
 //
 // Assembly takes raw pointers, so memory safety lives here and in the
 // dispatchers of lanes_amd64.go, not in the callers: the exported
@@ -72,6 +75,86 @@ func denseForwardGeneric(y, x, w, b []float32, batch, in, out int) {
 	}
 }
 
+// DenseBackward is the backward pass of DenseForward's layer for a batch
+// of row-major samples, given the upstream gradient dy (batch×out) and
+// the forward input x (batch×in). For every (sample s, output o) whose
+// g = dy[s*out+o] is non-zero it adds g·x[s] to gw[o], g to gb[o] and
+// g·w[o] to dx[s]: each element of gw and gb receives its terms over
+// ascending s, each element of dx over ascending o, one float32 product
+// and one sum at a time. With add the terms go onto what gw and gb
+// hold; without it gw and gb start from +0, exactly as if cleared
+// first. dx always starts from +0; a nil dx skips it (for a layer whose
+// input gradient nothing reads). No output may overlap another operand.
+//
+//adasum:noalloc
+func DenseBackward(dx, gw, gb, dy, x, w []float32, batch, in, out int, add bool) {
+	if batch < 0 || in <= 0 || out <= 0 ||
+		len(dy) != batch*out || len(x) != batch*in || len(w) != in*out ||
+		len(gw) != in*out || len(gb) != out || (dx != nil && len(dx) != batch*in) {
+		panic(fmt.Sprintf("tensor: DenseBackward size mismatch: batch %d in %d out %d with len(dx) %d len(gw) %d len(gb) %d len(dy) %d len(x) %d len(w) %d",
+			batch, in, out, len(dx), len(gw), len(gb), len(dy), len(x), len(w)))
+	}
+	denseBackward(dx, gw, gb, dy, x, w, batch, in, out, add)
+}
+
+// denseBackwardGeneric is the pure-Go twin of the register-tile path and
+// the definition of DenseBackward: gw row by row (outputs outermost),
+// then gb, then dx row by row (samples outermost).
+//
+//adasum:noalloc
+func denseBackwardGeneric(dx, gw, gb, dy, x, w []float32, batch, in, out int, add bool) {
+	backwardRows(gw, dy, x, out, batch, 1, out, in, 0, add)
+	biasGrad(gb, dy, batch, out, add)
+	if dx != nil {
+		backwardRows(dx, dy, w, batch, out, out, 1, in, 0, false)
+	}
+}
+
+// backwardRows is both halves of DenseBackward's matrix work, over
+// columns lo..width-1: for each of the outer rows a of dst (width floats
+// each), dst[a] = (add ? dst[a] : +0) + Σ_b g[a*ga+b*gb]·src[b] over
+// ascending b < inner, skipping every term whose g is zero. gw is
+// (outer, inner, ga, gb) = (out, batch, 1, out) with src = x; dx is
+// (batch, out, out, 1) with src = w.
+//
+//adasum:noalloc
+func backwardRows(dst, g, src []float32, outer, inner, ga, gb, width, lo int, add bool) {
+	for a := 0; a < outer; a++ {
+		row := dst[a*width+lo : (a+1)*width]
+		if !add {
+			clear(row)
+		}
+		for b := 0; b < inner; b++ {
+			gv := g[a*ga+b*gb]
+			if gv == 0 {
+				continue
+			}
+			for i, s := range src[b*width+lo : (b+1)*width] {
+				row[i] += gv * s
+			}
+		}
+	}
+}
+
+// biasGrad adds each column of dy over ascending samples into gb (onto
+// +0 without add), skipping zeros like the weight terms.
+//
+//adasum:noalloc
+func biasGrad(gb, dy []float32, batch, out int, add bool) {
+	for o := range gb {
+		var acc float32
+		if add {
+			acc = gb[o]
+		}
+		for s := 0; s < batch; s++ {
+			if g := dy[s*out+o]; g != 0 {
+				acc += g
+			}
+		}
+		gb[o] = acc
+	}
+}
+
 // AdamCoef carries the per-step scalars of an Adam update, already
 // rounded to the precision the update uses them at. The assembly reads
 // the fields by offset: keep lanes_amd64.s in step with any change.
@@ -103,6 +186,8 @@ func AdamUpdate(p, g, m, v []float32, c AdamCoef) {
 // AdamUpdate: the moments in float32, the bias-corrected quotient in
 // float64, one rounding back to float32, and the decay term added to the
 // update before the subtraction (with WD = 0 the ±0 is still added).
+// adamAVX reaches the same float32 quotient through a one-divide form,
+// a rounding test and this sequence as its fallback.
 //
 //adasum:noalloc
 func adamGeneric(p, g, m, v []float32, c *AdamCoef) {

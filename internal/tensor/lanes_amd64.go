@@ -2,7 +2,11 @@
 
 package tensor
 
-import "repro/internal/cpu"
+import (
+	"math"
+
+	"repro/internal/cpu"
+)
 
 // Dispatch for the lane kernels (lanes.go): on a CPU with AVX — the
 // cpu.HasAVXFMA flag dotNorms already uses — each function hands the
@@ -44,10 +48,17 @@ func denseTileAVX(yt, xt, w, b *float32, in, out int)
 //go:noescape
 func denseRowsAVX(y, x, w, b *float32, in, rows int)
 
-// n is a positive multiple of 4.
+// backwardRows (lanes.go) over columns 0..cols-1, and biasGrad into
+// bias unless it is nil: cols is a positive multiple of 8 and at most
+// width, outer and inner are positive.
 //
 //go:noescape
-func adamAVX(pp, gg, mm, vv *float32, n int, c *AdamCoef)
+func backwardRowsAVX(dst, gp, src, bias *float32, outer, inner, ga, gb, width, cols int, add bool)
+
+// n is a positive multiple of 4; k1 and k2 are adamKernelCoef's.
+//
+//go:noescape
+func adamAVX(pp, gg, mm, vv *float32, n int, c *AdamCoef, k1, k2 float64)
 
 // n is a positive multiple of 8.
 //
@@ -186,12 +197,57 @@ func denseForwardTiled(y, x, w, b []float32, batch, in, out int, scratch []float
 	}
 }
 
+// denseBackward runs DenseBackward on register tiles (backwardRowsAVX)
+// over the in&^7 leading columns — gw and gb in one pass, then dx — and
+// the twin's backwardRows over the rest. The caller has checked every
+// length against batch, in and out.
+//
+//adasum:noalloc
+func denseBackward(dx, gw, gb, dy, x, w []float32, batch, in, out int, add bool) {
+	cols := in &^ (denseLanes - 1)
+	if !cpu.HasAVXFMA || cols == 0 || batch == 0 {
+		denseBackwardGeneric(dx, gw, gb, dy, x, w, batch, in, out, add)
+		return
+	}
+	_, _, _, _ = gw[in*out-1], gb[out-1], dy[batch*out-1], x[batch*in-1]
+	backwardRowsAVX(&gw[0], &dy[0], &x[0], &gb[0], out, batch, 1, out, in, cols, add)
+	if cols < in {
+		backwardRows(gw, dy, x, out, batch, 1, out, in, cols, add)
+	}
+	if dx != nil {
+		_, _ = dx[batch*in-1], w[in*out-1]
+		backwardRowsAVX(&dx[0], &dy[0], &w[0], nil, batch, out, out, 1, in, cols, false)
+		if cols < in {
+			backwardRows(dx, dy, w, batch, out, out, 1, in, cols, false)
+		}
+	}
+}
+
+// adamKernelCoef returns adamAVX's per-call constants k1 = LR/BC1 and
+// k2 = 1/√BC2, and whether c lies where DESIGN.md's error bound for
+// the one-divide form holds: with 2^-64 <= BC1, BC2 <= 1, LR zero or of
+// magnitude within 2^±64 and 2^-600 <= Eps <= 2^64, every intermediate
+// of both forms is a normal float64 for any float32 moments. Every step
+// optim.Adam takes at its defaults is inside; outside, the twin runs the
+// whole call.
+//
+//adasum:noalloc
+func adamKernelCoef(c *AdamCoef) (k1, k2 float64, ok bool) {
+	ok = within(c.BC1, 0x1p-64, 1) && within(c.BC2, 0x1p-64, 1) && within(c.Eps, 0x1p-600, 0x1p64) &&
+		(c.LR == 0 || within(math.Abs(c.LR), 0x1p-64, 0x1p64))
+	return c.LR / c.BC1, 1 / math.Sqrt(c.BC2), ok
+}
+
+func within(x, lo, hi float64) bool { return x >= lo && x <= hi }
+
 //adasum:noalloc
 func adamUpdate(p, g, m, v []float32, c *AdamCoef) {
 	if n := len(p) &^ 3; cpu.HasAVXFMA && n > 0 {
-		_, _, _ = g[n-1], m[n-1], v[n-1]
-		adamAVX(&p[0], &g[0], &m[0], &v[0], n, c)
-		p, g, m, v = p[n:], g[n:], m[n:], v[n:]
+		if k1, k2, ok := adamKernelCoef(c); ok {
+			_, _, _ = g[n-1], m[n-1], v[n-1]
+			adamAVX(&p[0], &g[0], &m[0], &v[0], n, c, k1, k2)
+			p, g, m, v = p[n:], g[n:], m[n:], v[n:]
+		}
 	}
 	adamGeneric(p, g, m, v, c)
 }

@@ -25,6 +25,11 @@ func denseForward(y, x, w, b []float32, batch, in, out int, _ []float32) {
 }
 
 //adasum:noalloc
+func denseBackward(dx, gw, gb, dy, x, w []float32, batch, in, out int, add bool) {
+	denseBackwardGeneric(dx, gw, gb, dy, x, w, batch, in, out, add)
+}
+
+//adasum:noalloc
 func adamUpdate(p, g, m, v []float32, c *AdamCoef) { adamGeneric(p, g, m, v, c) }
 
 //adasum:noalloc

@@ -278,6 +278,38 @@ func checkDense(t *testing.T, x, w, b []float32, batch, in, out, off int) {
 	}
 }
 
+// checkDenseBackward runs DenseBackward against its twin in both forms
+// — adding to gw and gb, and writing them over the garbage gw0 and gb0
+// hold — with dx and with dx skipped, gw and dx at slice offset off
+// between guard words (dx starts as guard words too: it must be written,
+// never read).
+func checkDenseBackward(t *testing.T, dy, x, w, gw0, gb0 []float32, batch, in, out, off int) {
+	t.Helper()
+	for _, add := range []bool{true, false} {
+		for _, withDX := range []bool{true, false} {
+			what := fmt.Sprintf("DenseBackward batch=%d in=%d out=%d add=%v dx=%v off=%d", batch, in, out, add, withDX, off)
+			wantGW, wantGB := cloneAt(gw0, off), cloneAt(gb0, off)
+			var wantDX, dx, dxWhole []float32
+			if withDX {
+				wantDX = make([]float32, batch*in)
+				dx, dxWhole = guarded(batch*in, off)
+			}
+			denseBackwardGeneric(wantDX, wantGW, wantGB, dy, x, w, batch, in, out, add)
+			gw, gwWhole := guarded(in*out, off)
+			copy(gw, gw0)
+			gb := cloneAt(gb0, off)
+			DenseBackward(dx, gw, gb, dy, x, w, batch, in, out, add)
+			expectSame(t, what+" gw", gw, wantGW)
+			expectSame(t, what+" gb", gb, wantGB)
+			checkGuards(t, what+" gw", gwWhole, off, in*out)
+			if withDX {
+				expectSame(t, what+" dx", dx, wantDX)
+				checkGuards(t, what+" dx", dxWhole, off, batch*in)
+			}
+		}
+	}
+}
+
 func laneLengths() []int {
 	var ns []int
 	for n := 0; n <= 67; n++ {
@@ -304,6 +336,21 @@ func TestLaneKernelsMatchTwins(t *testing.T) {
 				zero := make([]float32, n)
 				grads := [][]float32{laneVec(rng, n, off, kind), laneVec(rng, n, off, kind), laneVec(rng, n, off, kind), laneVec(rng, n, off, "gaussian")}
 				checkUpdates(t, x, zero, zero, func(s int) []float32 { return grads[s-1] }, len(grads), off)
+			}
+		}
+	}
+	// Dense backward: every tile width (64, 32 and 8 columns) alone and
+	// together, ragged in, the batches around a tile of samples, upstream
+	// gradients of every kind (±0 skipped, NaN, ±Inf and denormals not).
+	for _, kind := range laneKinds {
+		for _, batch := range []int{0, 1, 2, 7, 16, 17} {
+			for _, in := range []int{1, 5, 8, 13, 32, 45, 64, 71, 100, 128, 133, 200} {
+				for _, out := range []int{1, 3, 16} {
+					off := rng.Intn(8)
+					dy, x := laneVec(rng, batch*out, off, kind), laneVec(rng, batch*in, off, kind)
+					w := laneVec(rng, in*out, off, "gaussian")
+					checkDenseBackward(t, dy, x, w, laneVec(rng, in*out, 0, kind), laneVec(rng, out, 0, kind), batch, in, out, off)
+				}
 			}
 		}
 	}
@@ -454,6 +501,16 @@ func TestLaneKernelsLengthMismatchPanics(t *testing.T) {
 		"DenseForward batch 1 zero out":      func() { DenseForward(nil, f(8), nil, nil, 1, 8, 0, nil) },
 		"DenseForward zero in":               func() { DenseForward(f(16*4), nil, nil, f(4), 16, 0, 4, f(64)) },
 		"DenseForward negative in":           func() { DenseForward(f(16), f(16), f(16), nil, -4, -4, -4, f(64)) },
+		"DenseBackward short dy":             func() { DenseBackward(f(4*8), f(8*4), f(4), f(4*4-1), f(4*8), f(8*4), 4, 8, 4, true) },
+		"DenseBackward long dy":              func() { DenseBackward(f(4*8), f(8*4), f(4), f(4*4+1), f(4*8), f(8*4), 4, 8, 4, true) },
+		"DenseBackward short x":              func() { DenseBackward(f(4*8), f(8*4), f(4), f(4*4), f(4*8-1), f(8*4), 4, 8, 4, true) },
+		"DenseBackward short w":              func() { DenseBackward(f(4*8), f(8*4), f(4), f(4*4), f(4*8), f(8*4-1), 4, 8, 4, true) },
+		"DenseBackward short gw":             func() { DenseBackward(f(4*8), f(8*4-1), f(4), f(4*4), f(4*8), f(8*4), 4, 8, 4, false) },
+		"DenseBackward short gb":             func() { DenseBackward(f(4*8), f(8*4), f(3), f(4*4), f(4*8), f(8*4), 4, 8, 4, false) },
+		"DenseBackward short dx":             func() { DenseBackward(f(4*8-1), f(8*4), f(4), f(4*4), f(4*8), f(8*4), 4, 8, 4, true) },
+		"DenseBackward empty non-nil dx":     func() { DenseBackward(f(0), f(8*4), f(4), f(4*4), f(4*8), f(8*4), 4, 8, 4, true) },
+		"DenseBackward zero in":              func() { DenseBackward(nil, nil, f(4), f(4*4), nil, nil, 4, 0, 4, true) },
+		"DenseBackward negative batch":       func() { DenseBackward(nil, f(8*4), f(4), nil, nil, f(8*4), -1, 8, 4, true) },
 	} {
 		func() {
 			defer func() {
@@ -472,6 +529,7 @@ func TestLaneKernelsZeroAllocs(t *testing.T) {
 	x, y, z, u := laneVec(rng, n, 0, "gaussian"), laneVec(rng, n, 0, "gaussian"), laneVec(rng, n, 0, "gaussian"), laneVec(rng, n, 0, "gaussian")
 	dx, dw, db := laneVec(rng, batch*in, 0, "gaussian"), laneVec(rng, in*out, 0, "gaussian"), laneVec(rng, out, 0, "gaussian")
 	dy, scratch := make([]float32, batch*out), make([]float32, DenseScratchLen(in, out))
+	gx, gw, gb := make([]float32, batch*in), make([]float32, in*out), make([]float32, out)
 	c := adamCoefAt(1, 1e-3, 0.01)
 	for name, call := range map[string]func(){
 		"Dot":                  func() { Dot(x, y) },
@@ -484,6 +542,8 @@ func TestLaneKernelsZeroAllocs(t *testing.T) {
 		"DenseForward":         func() { DenseForward(dy, dx, dw, db, batch, in, out, scratch) },
 		"DenseForward batch 1": func() { DenseForward(dy[:out], dx[:in], dw, db, 1, in, out, scratch) },
 		"DenseForward batch 3": func() { DenseForward(dy[:3*out], dx[:3*in], dw, db, 3, in, out, nil) },
+		"DenseBackward":        func() { DenseBackward(gx, gw, gb, dy, dx, dw, batch, in, out, true) },
+		"DenseBackward no dx":  func() { DenseBackward(nil, gw, gb, dy, dx, dw, batch, in, out, false) },
 	} {
 		if a := testing.AllocsPerRun(20, call); a != 0 {
 			t.Errorf("%s: %v allocs per call, want 0", name, a)
@@ -520,7 +580,8 @@ func cycle(src []float32, from, n int) []float32 {
 }
 
 // FuzzLaneKernels feeds arbitrary float32 bit patterns, lengths, slice
-// offsets and layer shapes to every lane kernel and its twin.
+// offsets and layer shapes to every lane kernel and its twin, the Dense
+// backward register tiles included.
 func FuzzLaneKernels(f *testing.F) {
 	rng := rand.New(rand.NewSource(24))
 	for _, kind := range laneKinds {
@@ -548,5 +609,161 @@ func FuzzLaneKernels(f *testing.F) {
 		// blocks with rows left over and layers too narrow for a block.
 		batch, in, out := 1+int(batchByte%40), 1+int(inByte%40), 1+7*int(batchByte/40)+int(inByte/40)
 		checkDense(t, cloneAt(cycle(x, 0, batch*in), off), cloneAt(cycle(x, 3, in*out), off), cloneAt(cycle(x, 5, out), off), batch, in, out, off)
+
+		// Backward: batch 0..17 and out 1..15 from one byte, in 1..133
+		// (every tile width, ragged) from the other.
+		batch, in, out = int(batchByte%18), 1+int(inByte)%133, 1+int(batchByte/18)%15
+		checkDenseBackward(t, cloneAt(cycle(x, 1, batch*out), off), cloneAt(cycle(x, 2, batch*in), off), cloneAt(cycle(x, 4, in*out), off),
+			cycle(x, 6, in*out), cycle(x, 7, out), batch, in, out, off)
+	})
+}
+
+// adamFastModel is the one-divide form the Adam kernel tries first, in
+// three lines of its own: AdamUpdate's update for the step's moments m
+// and v if the kernel had no rounding test.
+func adamFastModel(m, v float32, c *AdamCoef) float32 {
+	k1, k2 := c.LR/c.BC1, 1/math.Sqrt(c.BC2)
+	return float32((k1 * float64(m)) / (math.Sqrt(float64(v))*k2 + c.Eps))
+}
+
+// adamQuotient is adamGeneric's quotient before its rounding to float32.
+func adamQuotient(m, v float32, c *AdamCoef) float64 {
+	mhat := float64(m) / c.BC1
+	vhat := float64(v) / c.BC2
+	return c.LR * mhat / (math.Sqrt(vhat) + c.Eps)
+}
+
+// adamMidpointCase builds a step whose quotient sits on a float32
+// rounding midpoint: from moments m and v before step t and a zero
+// gradient, it takes the midpoint beside float32(1e-3·m̂/(√v̂+ε)), away
+// from zero — a midpoint between denormals where that is below the
+// float32 normals — moves it by offset float64 ulps and back-solves the
+// learning rate. LR is a float64, so it places the quotient to the ulp.
+// It returns the coefficients and the step's moments, and false where
+// the inputs make no such case (zero, negative or non-finite moments).
+func adamMidpointCase(m, v float32, t, offset int) (c AdamCoef, m1, v1 float32, ok bool) {
+	c = adamCoefAt(t, 1, 0)
+	mm, vv := []float32{m}, []float32{v}
+	adamGeneric([]float32{0}, []float32{0}, mm, vv, &c)
+	m1, v1 = mm[0], vv[0]
+	if m1 == 0 || m1 != m1 || math.IsInf(float64(m1), 0) || !(v1 > 0) || math.IsInf(float64(v1), 0) {
+		return c, m1, v1, false
+	}
+	scale := adamQuotient(m1, v1, &c) // the quotient at LR = 1
+	r := float32(1e-3 * scale)
+	next := math.Nextafter32(r, float32(math.Copysign(math.Inf(1), scale)))
+	if r == 0 || math.IsInf(float64(next), 0) {
+		return c, m1, v1, false
+	}
+	goal := (float64(r) + float64(next)) / 2
+	goal = math.Float64frombits(math.Float64bits(goal) + uint64(int64(offset)))
+	c.LR = goal / scale
+	for i := 0; i < 8; i++ {
+		q := adamQuotient(m1, v1, &c)
+		if q == goal {
+			break
+		}
+		if math.Abs(q) < math.Abs(goal) {
+			c.LR = math.Nextafter(c.LR, math.Inf(1))
+		} else {
+			c.LR = math.Nextafter(c.LR, 0)
+		}
+	}
+	return c, m1, v1, true
+}
+
+// checkAdamCase runs AdamUpdate and adamGeneric from moments m and v, a
+// zero gradient and a zero parameter — so the new parameter is minus the
+// rounded quotient, to the bit — in lane t%4 of a vector group and in
+// the scalar tail, with ordinary elements in the other lanes.
+func checkAdamCase(t *testing.T, m, v float32, step int, c AdamCoef) {
+	t.Helper()
+	const n = 5
+	p, g, mm, vv := make([]float32, n), make([]float32, n), make([]float32, n), make([]float32, n)
+	for i := range p {
+		p[i], g[i], mm[i], vv[i] = 0.5, 0.25*float32(i), 0.01*float32(i), 1e-4
+	}
+	for _, i := range []int{step % 4, n - 1} {
+		p[i], g[i], mm[i], vv[i] = 0, 0, m, v
+	}
+	wp, wm, wv := append([]float32(nil), p...), append([]float32(nil), mm...), append([]float32(nil), vv...)
+	AdamUpdate(p, g, mm, vv, c)
+	adamGeneric(wp, g, wm, wv, &c)
+	what := fmt.Sprintf("AdamUpdate m=%v v=%v t=%d LR=%v", m, v, step, c.LR)
+	expectSame(t, what+" params", p, wp)
+	expectSame(t, what+" m", mm, wm)
+	expectSame(t, what+" v", vv, wv)
+}
+
+type adamSeed struct {
+	m, v   float32
+	t      int
+	offset int
+}
+
+// adamMidpointSeeds are moments whose steps land near normal float32
+// midpoints (gradient-sized m and v) and near midpoints between
+// denormals (m tiny against v), at every offset -3..3 and bias
+// corrections from t = 1 to 4000.
+func adamMidpointSeeds() []adamSeed {
+	rng := rand.New(rand.NewSource(29))
+	steps := []int{1, 2, 10, 100, 1000, 4000}
+	var seeds []adamSeed
+	for i := 0; i < 420; i++ {
+		m := float32(rng.NormFloat64() * math.Pow(10, -3+4*rng.Float64()))
+		v := m * m * float32(0.5+1.5*rng.Float64())
+		if i%2 == 1 {
+			m = float32(rng.NormFloat64() * math.Pow(10, -33+2*rng.Float64()))
+			v = float32(math.Pow(10, 6+4*rng.Float64()))
+		}
+		seeds = append(seeds, adamSeed{m, v, steps[i%len(steps)], i%7 - 3})
+	}
+	return seeds
+}
+
+// The Adam kernel's one-divide form rounds differently from the
+// definition near a float32 midpoint, and only its rounding test and
+// exact fallback keep AdamUpdate equal to adamGeneric there. Every seed
+// back-solves the learning rate to put the definition's quotient within
+// 3 float64 ulps of a midpoint, among the normals and among the
+// denormals (which the range test, not the midpoint test, catches). The
+// one-divide model must disagree with the definition on some of both
+// kinds — or the cases would not reach the fallback — and AdamUpdate
+// must agree on all of them.
+func TestAdamMidpoints(t *testing.T) {
+	var cases, disagree [2]int // [0] normal, [1] denormal
+	for _, s := range adamMidpointSeeds() {
+		c, m1, v1, ok := adamMidpointCase(s.m, s.v, s.t, s.offset)
+		if !ok {
+			t.Fatalf("seed %+v makes no case", s)
+		}
+		checkAdamCase(t, s.m, s.v, s.t, c)
+		def := float32(adamQuotient(m1, v1, &c))
+		kind := 0
+		if math.Abs(float64(def)) < 0x1p-126 {
+			kind = 1
+		}
+		cases[kind]++
+		if math.Float32bits(adamFastModel(m1, v1, &c)) != math.Float32bits(def) {
+			disagree[kind]++
+		}
+	}
+	t.Logf("one-divide model disagrees with the definition on %d of %d normal and %d of %d denormal cases", disagree[0], cases[0], disagree[1], cases[1])
+	if disagree[0] == 0 || disagree[1] == 0 {
+		t.Fatalf("the one-divide model disagrees on %v of %v (normal, denormal) cases: the seeds no longer reach the fallback", disagree, cases)
+	}
+}
+
+// FuzzAdamMidpoints is TestAdamMidpoints's check on arbitrary moments,
+// steps and offsets.
+func FuzzAdamMidpoints(f *testing.F) {
+	for _, s := range adamMidpointSeeds() {
+		f.Add(s.m, s.v, uint16(s.t), int8(s.offset))
+	}
+	f.Fuzz(func(t *testing.T, m, v float32, step uint16, offset int8) {
+		st, off := 1+int(step)%4000, int(offset)%4
+		if c, _, _, ok := adamMidpointCase(m, v, st, off); ok {
+			checkAdamCase(t, m, v, st, c)
+		}
 	})
 }

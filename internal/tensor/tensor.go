@@ -18,13 +18,15 @@
 // in the order partial sums are folded (see DESIGN.md).
 //
 // The rest of a rank's float32 arithmetic goes through the lane kernels
-// (lanes.go): Axpy, Sub and ScaledCombine element-wise, DenseForward
-// (the fully connected layer, samples on the vector lanes), AdamUpdate
+// (lanes.go): Axpy, Sub and ScaledCombine element-wise, DenseForward and
+// DenseBackward (the fully connected layer; samples or outputs on the
+// vector lanes forward, columns on register tiles backward), AdamUpdate
 // and MomentumUpdate. Each is one AVX assembly body (lanes_amd64.s)
 // beside one pure-Go twin that defines it; unlike DotNorms these are
 // bit-exact — every lane performs the twin's operations in the twin's
-// order with no FMA — so amd64, -tags noasm and GOARCH=386 produce
-// identical results (DESIGN.md, "Lane kernels").
+// order with no FMA, or for Adam's quotient proves per lane that it
+// rounds as the twin's does — so amd64, -tags noasm and GOARCH=386
+// produce identical results (DESIGN.md, "Lane kernels").
 package tensor
 
 import (
