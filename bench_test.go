@@ -302,6 +302,26 @@ func BenchmarkAxpy(b *testing.B) {
 	}
 }
 
+// BenchmarkNorm2 times the squared norm an adaptive bucket launch takes
+// twice (gradient and source residual): a 16 KiB bucket, a 128 KiB one,
+// and the 640 KiB train_comm gradient.
+func BenchmarkNorm2(b *testing.B) {
+	for _, n := range []int{4 << 10, 32 << 10, 160 << 10} {
+		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
+			x := randVec(n, 14)
+			b.SetBytes(int64(4 * n))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				norm2Sink = tensor.Norm2(x)
+			}
+		})
+	}
+}
+
+// norm2Sink keeps BenchmarkNorm2's call from being optimized away.
+var norm2Sink float64
+
 func BenchmarkLeNetForwardBackward(b *testing.B) {
 	net := nn.NewLeNet5(14, 14, 10)
 	net.Init(rand.New(rand.NewSource(7)))

@@ -24,6 +24,7 @@ import (
 	"math"
 
 	"repro/internal/float16"
+	"repro/internal/tensor"
 )
 
 // Kind identifies a codec family.
@@ -740,11 +741,7 @@ func (s *Stream) SourceResidualL2() float64 {
 	if len(s.sites) == 0 {
 		return 0
 	}
-	var sum float64
-	for _, v := range s.sites[0].res {
-		sum += float64(v) * float64(v)
-	}
-	return math.Sqrt(sum)
+	return tensor.Norm(s.sites[0].res)
 }
 
 // Begin starts a new step: the next encode is site 0 again. The encode

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/float16"
+	"repro/internal/tensor"
 )
 
 func randVec(n int, seed int64, scale float32) []float32 {
@@ -443,11 +444,7 @@ func (s *refStream) sourceResidualL2() float64 {
 	if len(s.res) == 0 {
 		return 0
 	}
-	var sum float64
-	for _, v := range s.res[0] {
-		sum += float64(v) * float64(v)
-	}
-	return math.Sqrt(sum)
+	return tensor.Norm(s.res[0])
 }
 
 // bitsEqual returns the first index at which the equal-length a and b

@@ -6,18 +6,18 @@ import (
 )
 
 // The lane kernels: the per-rank float32 arithmetic of a training step —
-// the element-wise Axpy/Sub/ScaledCombine family (tensor.go), the Dense
-// forward and backward passes, and the Adam and Momentum updates — each
-// as one AVX assembly body (lanes_amd64.s) beside one pure-Go twin. The
-// twin is the definition: every vector lane executes exactly the twin's
-// operations in the twin's order, each product, sum, quotient, square
-// root and conversion rounded on its own (no FMA, no reassociation, no
-// reciprocal), so the asm, the twin and the 386 build agree bit for bit
-// on every input (NaN payloads excepted; the outputs-on-lanes forward
-// pass keeps those too). The one exception is Adam's quotient, which the
-// kernel reassociates and then proves, lane by lane, rounds to the
-// twin's float32 — recomputing it the twin's way where it cannot. See
-// DESIGN.md, "Lane kernels".
+// the element-wise Axpy/Sub/ScaledCombine family and the Norm2 reduction
+// (tensor.go), the Dense forward and backward passes, and the Adam and
+// Momentum updates — each as one AVX assembly body (lanes_amd64.s)
+// beside one pure-Go twin. The twin is the definition: every vector lane
+// executes exactly the twin's operations in the twin's order, each
+// product, sum, quotient, square root and conversion rounded on its own
+// (no FMA, no reassociation, no reciprocal), so the asm, the twin and
+// the 386 build agree bit for bit on every input (NaN payloads excepted;
+// the outputs-on-lanes forward pass keeps those too). The one exception
+// is Adam's quotient, which the kernel reassociates and then proves,
+// lane by lane, rounds to the twin's float32 — recomputing it the twin's
+// way where it cannot. See DESIGN.md, "Lane kernels".
 //
 // Assembly takes raw pointers, so memory safety lives here and in the
 // dispatchers of lanes_amd64.go, not in the callers: the exported

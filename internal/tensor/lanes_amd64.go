@@ -27,6 +27,12 @@ func axpyAVX(x, y *float32, n int, alpha float32)
 //go:noescape
 func subAVX(dst, a, b *float32, n int)
 
+// n is a positive multiple of 4; s receives norm2Generic's four partial
+// sums over a[:n].
+//
+//go:noescape
+func norm2AVX(a *float32, n int, s *[4]float64)
+
 // n is a positive multiple of 8.
 //
 //go:noescape
@@ -86,6 +92,24 @@ func sub(dst, a, b []float32) {
 		dst, a, b = dst[n:], a[n:], b[n:]
 	}
 	subGeneric(dst, a, b)
+}
+
+// norm2 hands the assembly the whole groups of four, whose lane j is the
+// twin's s_j; the tail joins s0 here, as in the twin.
+//
+//adasum:noalloc
+func norm2(a []float32) float64 {
+	n := len(a) &^ 3
+	if !cpu.HasAVXFMA || n == 0 {
+		return norm2Generic(a)
+	}
+	var s [4]float64
+	norm2AVX(&a[0], n, &s)
+	s0 := s[0]
+	for _, v := range a[n:] {
+		s0 += float64(v) * float64(v)
+	}
+	return s0 + s[1] + s[2] + s[3]
 }
 
 //adasum:noalloc

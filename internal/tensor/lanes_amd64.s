@@ -83,6 +83,29 @@ subloop:
 	VZEROUPPER
 	RET
 
+// func norm2AVX(a *float32, n int, s *[4]float64)
+//
+// n is a positive multiple of 4. One ymm accumulator: lane j sums
+// a[i]² over i%4 == j in index order, so each lane's chain of adds is
+// norm2Generic's s_j, operation for operation.
+TEXT ·norm2AVX(SB), NOSPLIT, $0-24
+	MOVQ   a+0(FP), SI
+	MOVQ   n+8(FP), CX
+	MOVQ   s+16(FP), DX
+	VXORPD Y0, Y0, Y0
+	SHRQ   $2, CX
+
+norm2loop:
+	VCVTPS2PD (SI), Y1 // a[i:i+4] widened
+	VMULPD    Y1, Y1, Y1
+	VADDPD    Y1, Y0, Y0
+	ADDQ      $16, SI
+	DECQ      CX
+	JNZ       norm2loop
+	VMOVUPD   Y0, (DX)
+	VZEROUPPER
+	RET
+
 // func scaledCombineAVX(dst, a, b *float32, n int, ca, cb float32)
 //
 // dst[i] = ca*a[i] + cb*b[i]. Both loads of a vector precede its store,

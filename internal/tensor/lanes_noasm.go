@@ -11,6 +11,9 @@ func axpy(alpha float32, x, y []float32) { axpyGeneric(alpha, x, y) }
 func sub(dst, a, b []float32) { subGeneric(dst, a, b) }
 
 //adasum:noalloc
+func norm2(a []float32) float64 { return norm2Generic(a) }
+
+//adasum:noalloc
 func scaledCombine(dst []float32, ca float32, a []float32, cb float32, b []float32) {
 	scaledCombineGeneric(dst, ca, a, cb, b)
 }

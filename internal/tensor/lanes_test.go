@@ -105,9 +105,16 @@ func aliasOperands(a, b []float32, off int, alias string) (dst, ca, cb []float32
 }
 
 // checkElementwise runs Axpy, Sub and ScaledCombine — the latter two in
-// each documented aliasing form — against their twins.
+// each documented aliasing form — and Norm2 against their twins.
 func checkElementwise(t *testing.T, x, y []float32, alpha, beta float32, off int) {
 	t.Helper()
+	for _, v := range [][]float32{x, y} {
+		got, want := Norm2(v), norm2Generic(v)
+		if math.Float64bits(got) != math.Float64bits(want) && !(got != got && want != want) {
+			t.Fatalf("Norm2 of %d values at offset %d: kernel %v (%#016x), twin %v (%#016x)",
+				len(v), off, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
 	got, want := cloneAt(y, off), cloneAt(y, off)
 	Axpy(alpha, x, got)
 	axpyGeneric(alpha, x, want)
@@ -533,6 +540,7 @@ func TestLaneKernelsZeroAllocs(t *testing.T) {
 	c := adamCoefAt(1, 1e-3, 0.01)
 	for name, call := range map[string]func(){
 		"Dot":                  func() { Dot(x, y) },
+		"Norm2":                func() { Norm2(x) },
 		"DotNorms":             func() { DotNorms(x, y) },
 		"Axpy":                 func() { Axpy(0.5, x, y) },
 		"Sub":                  func() { Sub(z, x, y) },

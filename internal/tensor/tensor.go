@@ -57,10 +57,19 @@ func Dot(a, b []float32) float64 {
 	return s0 + s1 + s2 + s3
 }
 
-// Norm2 returns the squared Euclidean norm of a, accumulated in float64.
+// Norm2 returns the squared Euclidean norm of a, accumulated in float64
+// in the order of norm2Generic (a lane kernel: see lanes.go).
 //
 //adasum:noalloc
-func Norm2(a []float32) float64 {
+func Norm2(a []float32) float64 { return norm2(a) }
+
+// norm2Generic is the pure-Go twin of norm2AVX and the definition of
+// Norm2: four partial sums s0…s3 over the elements i%4 == 0…3 of the
+// whole groups of four, the tail added to s0, the result
+// ((s0+s1)+s2)+s3.
+//
+//adasum:noalloc
+func norm2Generic(a []float32) float64 {
 	var s0, s1, s2, s3 float64
 	n := len(a)
 	i := 0

@@ -80,9 +80,16 @@ func TestResumeIsBitwiseIdentical(t *testing.T) {
 		// checkpoint (Worker.Policy, format v2).
 		{"post/cluster-sync/adaptive", PostOptimizer, CommCluster, false, compress.Adaptive()},
 		{"post/cluster-overlap/adaptive", PostOptimizer, CommCluster, true, compress.Adaptive()},
+		// Parallel: every worker steps inside its rank body.
+		{"post/cluster-overlap/parallel", PostOptimizer, CommCluster, true, nil},
 	}
 	for _, tc := range combos {
 		t.Run(tc.name, func(t *testing.T) {
+			ckCfg := func(scope Scope, comm CommMode, overlap bool, codec compress.Compression) Config {
+				cfg := ckCfg(scope, comm, overlap, codec)
+				cfg.Parallel = strings.HasSuffix(tc.name, "/parallel")
+				return cfg
+			}
 			base := ckCfg(tc.scope, tc.comm, tc.overlap, tc.codec)
 			uninterrupted := Run(base)
 

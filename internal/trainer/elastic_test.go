@@ -1,6 +1,7 @@
 package trainer
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -354,5 +355,63 @@ func TestHierarchicalRVHNonP2Workers(t *testing.T) {
 	res := Run(cfg) // must not panic in overlap.New
 	if res.FinalWorkers != 24 {
 		t.Fatalf("run did not complete on 24 workers: %d", res.FinalWorkers)
+	}
+}
+
+// TestParallelElasticRunsKeepDigests reruns the ShrinkContinue and
+// GangRestart scenarios with Parallel set, so each worker step runs in
+// its rank body, including a rank whose deadline is already due when the
+// first step starts: it dies before its body runs. Each run must match
+// the serial step loop bit for bit, and both must match a digest
+// recorded when every Parallel worker was still fanned out from the
+// calling goroutine, which stepped all of them, the doomed rank included, before
+// the reduce.
+func TestParallelElasticRunsKeepDigests(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		policy   FailurePolicy
+		failAt   map[int]float64
+		failures string
+		want     goldenDigest
+	}{
+		{"shrink", ShrinkContinue, map[int]float64{5: 12e-3}, "[{4 [5] 7}]", goldenDigest{
+			crc: 1912752569, sim: 0.14830886174285712, acc: 1, wire: 3501216,
+		}},
+		{"shrink/fail-at-0", ShrinkContinue, map[int]float64{2: 0}, "[{0 [2] 7}]", goldenDigest{
+			crc: 3743369843, sim: 0.1455513292857142, acc: 1, wire: 3456000,
+		}},
+		{"gang-restart", GangRestart, map[int]float64{2: 15e-3}, "[{5 [2] 7}]", goldenDigest{
+			crc: 77601494, sim: 0.1512568591428572, acc: 1, wire: 3566520,
+		}},
+		{"gang-restart/fail-at-0", GangRestart, map[int]float64{6: 0, 2: 15e-3}, "[{0 [6] 7} {6 [2] 6}]", goldenDigest{
+			crc: 980430030, sim: 0.1510685728571429, acc: 1, wire: 3024000,
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			digest := func(parallel bool) (goldenDigest, []FailureEvent) {
+				cfg := elasticCfg(8)
+				cfg.MaxEpochs = 2
+				cfg.Net = simnet.TCP40Racked(8, 2)
+				cfg.Net.Faults = &simnet.Faults{FailAtSeconds: tc.failAt}
+				cfg.OnFailure = tc.policy
+				if tc.policy == GangRestart {
+					cfg.CheckpointEverySteps = 4
+				}
+				cfg.Parallel = parallel
+				h := Start(cfg)
+				for h.Step() {
+				}
+				res := h.Result()
+				return goldenDigest{crc: paramsCRC(res.FinalParams), sim: res.SimSeconds, acc: res.FinalAccuracy, wire: h.WireBytes()}, res.Failures
+			}
+			got, failures := digest(true)
+			serial, serialFailures := digest(false)
+			if got != serial || fmt.Sprint(failures) != fmt.Sprint(serialFailures) {
+				t.Fatalf("Parallel run %+v %v, serial run %+v %v", got, failures, serial, serialFailures)
+			}
+			if got != tc.want || fmt.Sprint(failures) != tc.failures {
+				t.Fatalf("digest %+v failures %v, want %+v %s", got, failures, tc.want, tc.failures)
+			}
+		})
 	}
 }

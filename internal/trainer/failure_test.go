@@ -7,6 +7,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/nn"
 	"repro/internal/optim"
+	"repro/internal/simnet"
 	"repro/internal/tensor"
 )
 
@@ -74,5 +75,68 @@ func TestPostOptimizerStateIsPerWorker(t *testing.T) {
 	})
 	if res.FinalAccuracy < 0.9 {
 		t.Fatalf("post-optimizer training failed: %v", res.FinalAccuracy)
+	}
+}
+
+// panicLayer is a pass-through activation whose Forward panics with
+// boom on its at-th call: a programming error in one worker's model.
+type panicLayer struct {
+	nn.Layer
+	calls, at int
+}
+
+type boom struct{ worker, call int }
+
+func (l *panicLayer) Forward(x []float32, batch int) []float32 {
+	if l.calls++; l.calls == l.at {
+		panic(boom{3, l.at})
+	}
+	return l.Layer.Forward(x, batch)
+}
+
+// A panic in a worker step is a bug, not a node failure: whether the
+// worker runs in the step loop or inside its rank body (Parallel on the
+// cluster, where comm would otherwise record the panic as the rank's
+// death), Handle.Step must re-raise that very value under every
+// failure policy, and no elastic policy may shrink the gang over it.
+func TestWorkerPanicReRaisesUnderEveryPolicy(t *testing.T) {
+	const k = 5 // the step (0-based) whose worker step panics
+	for _, policy := range []FailurePolicy{FailStop, ShrinkContinue, GangRestart} {
+		for _, parallel := range []bool{false, true} {
+			cfg := elasticCfg(8)
+			cfg.Net = simnet.TCP40Racked(8, 2)
+			cfg.OnFailure = policy
+			if policy == GangRestart {
+				cfg.CheckpointEverySteps = 2
+			}
+			cfg.Parallel = parallel
+			replicas := 0
+			cfg.Model = func() *nn.Network {
+				replicas++
+				act := nn.Layer(nn.NewReLU("relu", 16))
+				if replicas == 1+4 { // the master, then workers 0..3
+					act = &panicLayer{Layer: act, at: k + 1}
+				}
+				return nn.NewNetwork(nn.NewDense("fc1", 64, 16), act, nn.NewDense("fc2", 16, 5))
+			}
+			h := Start(cfg)
+			for i := 0; i < k; i++ {
+				h.Step()
+			}
+			got := func() (e any) {
+				defer func() { e = recover() }()
+				h.Step()
+				return nil
+			}()
+			if got != (boom{3, k + 1}) {
+				t.Fatalf("%v parallel=%v: Handle.Step panicked with %v, want the worker's %v", policy, parallel, got, boom{3, k + 1})
+			}
+			if h.Workers() != 8 || len(h.Failures()) != 0 {
+				t.Fatalf("%v parallel=%v: the panic shrank the gang to %d workers, failures %v", policy, parallel, h.Workers(), h.Failures())
+			}
+			if h.CompletedSteps() != k {
+				t.Fatalf("%v parallel=%v: %d steps completed, want %d", policy, parallel, h.CompletedSteps(), k)
+			}
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package trainer
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -29,15 +30,41 @@ func expectWorkersShareMaster(t *testing.T, what string, h *Handle) {
 	}
 }
 
-// Pre-optimizer replicas are bound to the master's parameter vector at
-// Start and must still be after everything that restores or rebuilds a
-// run: each of those copies into master.Params() and none may replace
-// it, or the workers would go on training a stale model.
-func TestPreOptimizerWorkersShareMasterParams(t *testing.T) {
-	pre := func() Config {
+// Pre-optimizer replicas, and post-optimizer ones with LocalSteps 1,
+// are bound to the master's parameter vector at Start and must still be after everything that restores or
+// rebuilds a run: each of those copies into master.Params() and none may
+// replace it, or the workers would go on training a stale model. A
+// LocalSGD replica steps its parameters between reductions and owns its
+// vector.
+func TestWorkersShareMasterParams(t *testing.T) {
+	for _, scope := range []Scope{PreOptimizer, PostOptimizer} {
+		t.Run(scope.String(), func(t *testing.T) { expectSharingSurvivesRestores(t, scope) })
+	}
+
+	cfg := elasticCfg(4)
+	cfg.Scope, cfg.LocalSteps = LocalSGD, 2
+	h := Start(cfg)
+	h.Step()
+	for i, w := range h.r.workers {
+		if sharesStorage(w.net.Params(), h.r.master.Params()) {
+			t.Fatalf("LocalSGD worker %d writes through to the master's parameters", i)
+		}
+		if i > 0 && sharesStorage(w.net.Params(), h.r.workers[0].net.Params()) {
+			t.Fatalf("LocalSGD workers 0 and %d share a parameter vector", i)
+		}
+	}
+}
+
+// expectSharingSurvivesRestores walks a run of the given scope through
+// the five paths that build or restore its state — Start and Step,
+// a ShrinkContinue rebuild, a GangRestart rewind, Resume, and
+// ReshapeResume onto a smaller gang — and checks that every worker reads
+// the master's vector after each.
+func expectSharingSurvivesRestores(t *testing.T, scope Scope) {
+	base := func() Config {
 		cfg := elasticCfg(8)
 		cfg.Net = simnet.TCP40Racked(8, 2)
-		cfg.Scope = PreOptimizer
+		cfg.Scope = scope
 		return cfg
 	}
 	stepUntilFailure := func(t *testing.T, h *Handle) {
@@ -50,7 +77,7 @@ func TestPreOptimizerWorkersShareMasterParams(t *testing.T) {
 		h.Step()
 	}
 
-	h := Start(pre())
+	h := Start(base())
 	expectWorkersShareMaster(t, "after Start", h)
 	h.Step()
 	expectWorkersShareMaster(t, "after one Step", h)
@@ -59,7 +86,7 @@ func TestPreOptimizerWorkersShareMasterParams(t *testing.T) {
 	}
 	ck := h.Snapshot()
 
-	cfg := pre()
+	cfg := base()
 	cfg.OnFailure = ShrinkContinue
 	cfg.Net.Faults = &simnet.Faults{FailAtSeconds: map[int]float64{2: 15e-3}}
 	h = Start(cfg)
@@ -69,7 +96,7 @@ func TestPreOptimizerWorkersShareMasterParams(t *testing.T) {
 	}
 	expectWorkersShareMaster(t, "after a ShrinkContinue rebuild", h)
 
-	cfg = pre()
+	cfg = base()
 	cfg.OnFailure = GangRestart
 	cfg.CheckpointEverySteps = 4
 	cfg.Net.Faults = &simnet.Faults{FailAtSeconds: map[int]float64{2: 15e-3}}
@@ -78,7 +105,7 @@ func TestPreOptimizerWorkersShareMasterParams(t *testing.T) {
 	expectWorkersShareMaster(t, "after a GangRestart", h)
 
 	resume := func(what string, workers int, ck *checkpoint.State) {
-		cfg := pre()
+		cfg := base()
 		cfg.Workers = workers
 		cfg.Net = simnet.TCP40Racked(workers, 2)
 		cfg.Resume, cfg.ReshapeResume = ck, workers != ck.Workers
@@ -94,21 +121,78 @@ func TestPreOptimizerWorkersShareMasterParams(t *testing.T) {
 	}
 	resume("after Resume", 8, ck.Clone())
 	resume("after ReshapeResume onto 4 workers", 4, ck.Clone())
+}
 
-	// Post-optimizer replicas step their own parameters: each owns its
-	// vector.
-	for _, scope := range []Scope{PostOptimizer, LocalSGD} {
+// oldPostOptimizerGlue is the post-optimizer branch of runWorker as it
+// stood before those workers shared the master's parameters: copy the
+// model into the replica's own vector, step the optimizer there, and
+// contribute the stepped vector minus the start.
+func oldPostOptimizerGlue(w *worker, params []float32, lr float64) float64 {
+	w.net.SetParams(params)
+	x, labels, b := nextBatch(w)
+	loss := w.net.Gradient(x, labels, b)
+	w.opt.Step(w.net.Params(), w.net.Grads(), lr)
+	tensor.Sub(w.grad, w.net.Params(), params)
+	return loss
+}
+
+// runWorker must leave the master's parameters bit for bit as they were
+// — replicas read them concurrently, and only tryStep's update after the
+// combine may write them — and a post-optimizer worker stepping its
+// optimizer in the contribution buffer must contribute exactly the delta
+// the old glue built in a replica-owned vector. Checked mid-run, with
+// Adam moments warmed by real steps, against oracle workers that clone
+// each worker's optimizer state and iterator position.
+func TestRunWorkerLeavesMasterUntouched(t *testing.T) {
+	for _, scope := range []Scope{PreOptimizer, PostOptimizer, LocalSGD} {
 		cfg := elasticCfg(4)
 		cfg.Scope = scope
+		if scope == LocalSGD {
+			cfg.LocalSteps = 2
+		}
 		h := Start(cfg)
-		h.Step()
-		for i, w := range h.r.workers {
-			if sharesStorage(w.net.Params(), h.r.master.Params()) {
-				t.Fatalf("%v worker %d writes through to the master's parameters", scope, i)
+		for i := 0; i < 3; i++ {
+			h.Step()
+		}
+		r := h.r
+		before := tensor.Clone(r.params)
+		const lr = 0.002
+		for _, rank := range r.active {
+			w := r.workers[rank]
+			var oracle *worker
+			if scope == PostOptimizer {
+				oracle = &worker{
+					net:   cfg.Model(),
+					shard: w.shard,
+					iter:  data.NewIterator(w.shard.N, cfg.Microbatch, cfg.Seed+1000+int64(rank)),
+					opt:   cfg.Optimizer.Clone(),
+					grad:  make([]float32, len(r.params)),
+				}
+				oracle.iter.Restore(w.iter.State())
+				oracle.opt.Restore(w.opt.Snapshot())
 			}
-			if i > 0 && sharesStorage(w.net.Params(), h.r.workers[0].net.Params()) {
-				t.Fatalf("%v workers 0 and %d share a parameter vector", scope, i)
+			r.runWorker(w, rank, lr)
+			for i, v := range before {
+				if math.Float32bits(r.params[i]) != math.Float32bits(v) {
+					t.Fatalf("%v worker %d: runWorker moved master parameter %d from %v to %v", scope, rank, i, v, r.params[i])
+				}
 			}
+			if oracle == nil {
+				continue
+			}
+			if loss := oldPostOptimizerGlue(oracle, before, lr); loss != r.losses[rank] {
+				t.Fatalf("worker %d: loss %v, old glue %v", rank, r.losses[rank], loss)
+			}
+			expectSameBits(t, fmt.Sprintf("worker %d contribution", rank), w.grad, oracle.grad)
+		}
+	}
+}
+
+func expectSameBits(t *testing.T, what string, got, want []float32) {
+	t.Helper()
+	for i := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("%s[%d] = %v (%#08x), want %v (%#08x)", what, i, got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
 		}
 	}
 }

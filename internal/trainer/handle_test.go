@@ -171,23 +171,36 @@ func TestReshapeResumeMigratesAcrossGangSizes(t *testing.T) {
 }
 
 // TestStepSteadyStateAllocs bounds the allocations of a warmed
-// Handle.Step on the serial worker path. The per-worker batch (x,
-// labels) and the logits gradient are worker- and network-owned
-// buffers, the worker body is a method rather than a per-step closure,
-// and the reduce hands World.RunErr a method value bound once, so a
+// Handle.Step on the two worker paths: the serial step loop
+// (train_comm's shape) and the Parallel rank bodies (train_compute's:
+// post-optimizer Adam, microbatch 16, each worker stepping inside its
+// rank body). The per-worker batch (x, labels) and the logits gradient
+// are worker- and network-owned buffers, the worker body is a method
+// rather than a per-step closure, and the reduce hands World.RunErr a
+// method value bound once — as is the rank body's worker step — so a
 // step allocates nothing but the occasional slice growth or runtime
-// wait record — which the bound of one object leaves room for without
+// wait record, which the bound of one object leaves room for without
 // letting any per-step allocation back in. The warm-up runs past the
 // first epoch boundary, whose evaluation sizes the master network's
 // test-batch buffers once.
 func TestStepSteadyStateAllocs(t *testing.T) {
-	cfg := goldenCommCfg()
-	cfg.MaxEpochs = 100
-	h := Start(cfg)
-	for i := 0; i <= h.r.stepsPerEpoch; i++ {
-		h.Step()
-	}
-	if perStep := testing.AllocsPerRun(10, func() { h.Step() }); perStep >= 1 {
-		t.Errorf("a warmed Handle.Step allocates %.1f objects, want fewer than 1", perStep)
+	for _, tc := range []struct {
+		name string
+		cfg  func() Config
+	}{
+		{"train_comm", goldenCommCfg},
+		{"train_compute", goldenComputeCfg},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg()
+			cfg.MaxEpochs = 100
+			h := Start(cfg)
+			for i := 0; i <= h.r.stepsPerEpoch; i++ {
+				h.Step()
+			}
+			if perStep := testing.AllocsPerRun(10, func() { h.Step() }); perStep >= 1 {
+				t.Errorf("a warmed Handle.Step allocates %.1f objects, want fewer than 1", perStep)
+			}
+		})
 	}
 }

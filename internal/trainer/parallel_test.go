@@ -33,7 +33,11 @@ func TestRunIsBitwiseInvariantUnderGOMAXPROCS(t *testing.T) {
 		// Parallel: the worker fan-out reads the master's parameter vector
 		// from every replica at once (pre-optimizer workers share it).
 		{"pre/host/parallel", PreOptimizer, CommHost, false, nil},
+		// On the cluster each worker steps inside its rank body; a
+		// post-optimizer replica shares the master's vector too.
 		{"pre/cluster-overlap/parallel", PreOptimizer, CommCluster, true, nil},
+		{"post/cluster-overlap/parallel", PostOptimizer, CommCluster, true, nil},
+		{"localsgd/cluster-overlap/parallel", LocalSGD, CommCluster, true, nil},
 		{"post/host", PostOptimizer, CommHost, false, nil},
 		{"localsgd/host", LocalSGD, CommHost, false, nil},
 		{"pre/cluster-sync", PreOptimizer, CommCluster, false, nil},
@@ -48,14 +52,16 @@ func TestRunIsBitwiseInvariantUnderGOMAXPROCS(t *testing.T) {
 		// function of rank-private telemetry for these to hold.
 		{"post/cluster-sync/adaptive", PostOptimizer, CommCluster, false, compress.Adaptive()},
 		{"post/cluster-overlap/adaptive", PostOptimizer, CommCluster, true, compress.Adaptive()},
+		{"post/cluster-overlap/adaptive/parallel", PostOptimizer, CommCluster, true, compress.Adaptive()},
 	}
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
 	for _, tc := range combos {
 		t.Run(tc.name, func(t *testing.T) {
+			parallel := strings.HasSuffix(tc.name, "/parallel")
 			cfg := func() Config {
 				cfg := ckCfg(tc.scope, tc.comm, tc.overlap, tc.codec)
-				cfg.Parallel = strings.HasSuffix(tc.name, "/parallel")
+				cfg.Parallel = parallel
 				return cfg
 			}
 			runtime.GOMAXPROCS(1)
@@ -65,21 +71,31 @@ func TestRunIsBitwiseInvariantUnderGOMAXPROCS(t *testing.T) {
 			runtime.GOMAXPROCS(8)
 			wide := Run(cfg())
 			runtime.GOMAXPROCS(prev)
+			expectSameRun(t, "1P", serial, "8P", wide)
 
-			if len(serial.FinalParams) != len(wide.FinalParams) {
-				t.Fatal("param count mismatch")
-			}
-			for i, v := range serial.FinalParams {
-				if wide.FinalParams[i] != v {
-					t.Fatalf("FinalParams diverged at %d: %v (1P) != %v (8P)", i, v, wide.FinalParams[i])
-				}
-			}
-			if serial.SimSeconds != wide.SimSeconds {
-				t.Fatalf("SimSeconds diverged: %v (1P) != %v (8P)", serial.SimSeconds, wide.SimSeconds)
-			}
-			if serial.FinalAccuracy != wide.FinalAccuracy {
-				t.Fatalf("FinalAccuracy diverged: %v (1P) != %v (8P)", serial.FinalAccuracy, wide.FinalAccuracy)
+			if parallel {
+				// Parallel changes where the worker steps run, never what
+				// they compute.
+				off := cfg()
+				off.Parallel = false
+				expectSameRun(t, "Parallel", wide, "serial", Run(off))
 			}
 		})
+	}
+}
+
+// expectSameRun fails unless runs a and b (named an and bn) ended with
+// bitwise-identical FinalParams, SimSeconds and FinalAccuracy.
+func expectSameRun(t *testing.T, an string, a *Result, bn string, b *Result) {
+	t.Helper()
+	if len(a.FinalParams) != len(b.FinalParams) {
+		t.Fatal("param count mismatch")
+	}
+	expectSameBits(t, bn+" FinalParams (want "+an+"'s)", b.FinalParams, a.FinalParams)
+	if a.SimSeconds != b.SimSeconds {
+		t.Fatalf("SimSeconds diverged: %v (%s) != %v (%s)", a.SimSeconds, an, b.SimSeconds, bn)
+	}
+	if a.FinalAccuracy != b.FinalAccuracy {
+		t.Fatalf("FinalAccuracy diverged: %v (%s) != %v (%s)", a.FinalAccuracy, an, b.FinalAccuracy, bn)
 	}
 }

@@ -246,7 +246,13 @@ type Config struct {
 	// Figure 1 orthogonality experiment.
 	Hook func(step int, contributions [][]float32, layout tensor.Layout)
 
-	// Parallel computes worker gradients on multiple OS threads.
+	// Parallel computes worker steps concurrently. On CommCluster without
+	// a Hook each worker's local step runs at the top of its own rank
+	// body, just before that rank's bucketed reduction, so a rank that
+	// finishes early starts communicating while slower ranks still
+	// compute; elsewhere tryStep fans the workers out over
+	// GOMAXPROCS goroutines before the combine. Results are
+	// bitwise-identical either way.
 	Parallel bool
 }
 
@@ -293,10 +299,13 @@ type Result struct {
 
 // worker is one simulated GPU: a model replica, its data shard, its own
 // batch iterator and (in post-opt modes) its own optimizer state. A
-// pre-optimizer replica never writes parameters, so it owns none: its
-// layers are bound to the master's vector (nn.Network.ShareParams), which
-// every restore path — Resume, ReshapeResume, GangRestart — copies into
-// rather than replaces.
+// replica never writes parameters unless it takes several optimizer
+// steps per reduction (LocalSteps > 1 outside PreOptimizer), so every
+// other replica owns none: its layers are bound to the master's vector
+// (nn.Network.ShareParams), which every restore path — Resume,
+// ReshapeResume, GangRestart — copies into rather than replaces. A
+// post-optimizer worker with one local step steps its optimizer on a
+// copy in its contribution buffer instead.
 type worker struct {
 	net   *nn.Network
 	shard *data.Dataset
@@ -571,6 +580,8 @@ type run struct {
 	testX      []float32
 	testLabels []int
 
+	lr float64 // the current attempt's learning rate, for rankWorker
+
 	res           *Result
 	stepsPerEpoch int
 	step          int     // completed reduction steps
@@ -598,7 +609,7 @@ func newRun(cfg Config) *run {
 			iter:  data.NewIterator(shard.N, cfg.Microbatch, cfg.Seed+1000+int64(w)),
 			opt:   cfg.Optimizer.Clone(),
 		}
-		if cfg.Scope == PreOptimizer {
+		if cfg.Scope == PreOptimizer || cfg.LocalSteps == 1 {
 			wk.net.ShareParams(master.Params())
 		}
 		if cfg.Scope == PreOptimizer && cfg.LocalSteps == 1 {
@@ -630,6 +641,9 @@ func newRun(cfg Config) *run {
 		losses:        make([]float64, cfg.Workers),
 		res:           &Result{EpochsToTarget: -1, StepsToTarget: -1, StepsPerEpoch: stepsPerEpoch},
 		stepsPerEpoch: stepsPerEpoch,
+	}
+	if r.engine != nil && cfg.Parallel && cfg.Hook == nil {
+		r.engine.local = r.rankWorker
 	}
 	r.testX, r.testLabels = cfg.Test.Batch(seq(cfg.Test.N))
 	return r
@@ -705,12 +719,17 @@ func (r *run) recordEpoch(epoch int, acc float64) {
 // mean local train loss plus the simulated step seconds. A rank failure
 // on the cluster substrate comes back as the RunError with parameters
 // untouched — the attempt updated nothing, so a retry on the survivors
-// is clean.
+// is clean. A panic in a worker step is a programming error, not a rank
+// failure: it is re-raised here whichever way the step ran.
 func (r *run) tryStep() (loss, simSec float64, failure *comm.RunError) {
 	cfg := r.cfg
 	lr := cfg.Schedule.LR(r.step)
+	r.lr = lr
 
-	if cfg.Parallel && len(r.active) > 1 {
+	switch {
+	case r.engine != nil && r.engine.local != nil:
+		// Each rank body runs its worker's step (commEngine.stepRank).
+	case cfg.Parallel && len(r.active) > 1:
 		var wg sync.WaitGroup
 		sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 		for _, rank := range r.active {
@@ -723,7 +742,7 @@ func (r *run) tryStep() (loss, simSec float64, failure *comm.RunError) {
 			}(r.workers[rank], rank)
 		}
 		wg.Wait()
-	} else {
+	default:
 		for _, rank := range r.active {
 			r.runWorker(r.workers[rank], rank, lr)
 		}
@@ -750,6 +769,11 @@ func (r *run) tryStep() (loss, simSec float64, failure *comm.RunError) {
 		var err *comm.RunError
 		simSec, err = r.engine.reduce(r.contributions, r.active, r.res.SimSeconds, r.step)
 		if err != nil {
+			for _, f := range err.Failures {
+				if wp, ok := f.Err.(workerPanic); ok {
+					panic(wp.v)
+				}
+			}
 			// simSec is the aborted attempt's elapsed virtual time; the
 			// caller charges it so failures are visible in SimSeconds.
 			return 0, simSec, err
@@ -776,7 +800,9 @@ func (r *run) tryStep() (loss, simSec float64, failure *comm.RunError) {
 
 // runWorker runs worker w's (world rank wi) local steps of one attempt
 // at learning rate lr, leaving its contribution in w.grad and its mean
-// local loss in r.losses[wi].
+// local loss in r.losses[wi]. It writes nothing any other worker reads
+// and never writes the master's parameters, which the replicas that
+// share them read concurrently; tryStep updates them after the combine.
 func (r *run) runWorker(w *worker, wi int, lr float64) {
 	cfg := &r.cfg
 	switch cfg.Scope {
@@ -802,6 +828,17 @@ func (r *run) runWorker(w *worker, wi int, lr float64) {
 		r.losses[wi] = loss / float64(cfg.LocalSteps)
 	case PostOptimizer, LocalSGD:
 		// Figure 3: run the optimizer locally, contribute the delta.
+		if cfg.LocalSteps == 1 {
+			// The replica reads the master's parameters in place; the
+			// optimizer steps a copy of them in the contribution buffer,
+			// which then becomes the delta (stepped - start).
+			x, labels, b := nextBatch(w)
+			r.losses[wi] = w.net.Gradient(x, labels, b)
+			copy(w.grad, r.params)
+			w.opt.Step(w.grad, w.net.Grads(), lr)
+			tensor.Sub(w.grad, w.grad, r.params) // effective gradient
+			break
+		}
 		w.net.SetParams(r.params)
 		var loss float64
 		for ls := 0; ls < cfg.LocalSteps; ls++ {
@@ -813,6 +850,10 @@ func (r *run) runWorker(w *worker, wi int, lr float64) {
 		tensor.Sub(w.grad, w.net.Params(), r.params) // effective gradient
 	}
 }
+
+// rankWorker is the worker step a rank body runs: world rank's
+// runWorker at the current attempt's learning rate.
+func (r *run) rankWorker(rank int) { r.runWorker(r.workers[rank], rank, r.lr) }
 
 // hookContributions presents the active contributions to the Hook:
 // the dense world-rank slice while the gang is whole (the steady state,
@@ -841,7 +882,16 @@ type commEngine struct {
 	// the same func value every step instead of a fresh closure.
 	contributions [][]float32
 	body          func(p *comm.Proc)
+	// local, when set, is the worker step each rank body runs before its
+	// engine step (run.rankWorker, bound once): the Parallel path.
+	local func(rank int)
 }
+
+// workerPanic carries a panic out of a rank body's worker step. comm
+// would otherwise record it as the rank's death, and an elastic policy
+// would drop the worker as if its node had failed; tryStep re-raises the
+// value instead.
+type workerPanic struct{ v any }
 
 // newCommEngine builds the substrate for CommCluster, or returns nil
 // for CommHost. The config has already been validated by Run.
@@ -907,14 +957,29 @@ func (ce *commEngine) reduce(contributions [][]float32, active []int, base float
 	return m - base, err
 }
 
-// stepRank is one rank's share of reduce: its engine's Step over its
-// contribution.
+// stepRank is one rank's share of reduce: on the Parallel path its
+// worker's local step, then its engine's Step over its contribution.
+// A rank whose injected deadline is already due dies in comm before
+// this body starts, so it computes nothing.
 func (ce *commEngine) stepRank(p *comm.Proc) {
 	// Record the clock even when the step aborts: the virtual time a
 	// failed attempt burned — partial buckets, failure detection — is
 	// real elapsed time the run must account for.
 	defer func() { ce.clocks[p.Rank()] = p.Clock() }()
+	if ce.local != nil {
+		ce.runLocal(p.Rank())
+	}
 	ce.engines[p.Rank()].Step(p, ce.contributions[p.Rank()])
+}
+
+// runLocal runs rank's worker step, wrapping a panic in workerPanic.
+func (ce *commEngine) runLocal(rank int) {
+	defer func() {
+		if e := recover(); e != nil {
+			panic(workerPanic{e})
+		}
+	}()
+	ce.local(rank)
 }
 
 func nextBatch(w *worker) ([]float32, []int, int) {
