@@ -2,9 +2,12 @@ package trainer
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/checkpoint"
@@ -256,4 +259,66 @@ func TestGoldenCodecRuns(t *testing.T) {
 			}, tc.want)
 		})
 	}
+}
+
+// runDigest is what TestHostRunsKeepDigests pins: the CRC-32 of
+// FinalParams, the simulated seconds and every epoch stat.
+type runDigest struct {
+	crc    uint32
+	sim    float64
+	epochs []EpochStat
+}
+
+// TestHostRunsKeepDigests pins the configs the in-process host reducer
+// used to train — the host rows of the tree-parity, Figure 3,
+// GOMAXPROCS, resume and handle tests: Adasum with no Net, fusion
+// threshold, step time or cluster knob — to digests recorded on that
+// reducer before it was deleted. They now step on the free-network
+// cluster, whose per-layer tree combine is the host tree bit for bit,
+// with the Parallel row's workers inside their rank bodies.
+func TestHostRunsKeepDigests(t *testing.T) {
+	parallel := func() Config {
+		cfg := ckCfg(PreOptimizer, CommHost, false, nil)
+		cfg.Parallel = true
+		return cfg
+	}
+	for _, tc := range []struct {
+		name  string
+		cfg   func() Config
+		steps int // 0 runs the whole budget
+		want  runDigest
+	}{
+		{"tree/2", func() Config { return overlapCfg(2, CommHost, false) }, 0, runDigest{1744082084, 0, []EpochStat{{1, 32, 0.17228787314012545, 1}, {2, 64, 2.485073389350401e-05, 1}}}},
+		{"tree/3", func() Config { return overlapCfg(3, CommHost, false) }, 0, runDigest{21222737, 0, []EpochStat{{1, 21, 0.231314793337244, 1}, {2, 42, 9.01759925644044e-06, 1}}}},
+		{"tree/4", func() Config { return overlapCfg(4, CommHost, false) }, 0, runDigest{2307171337, 0, []EpochStat{{1, 16, 0.27886937197804357, 1}, {2, 32, 1.4235509464585531e-05, 1}}}},
+		{"fig3", func() Config { return oneStepConfig(ReduceAdasum, PostOptimizer, optim.NewAdam()) }, 1, runDigest{2117539968, 0, nil}},
+		{"pre", func() Config { return ckCfg(PreOptimizer, CommHost, false, nil) }, 0, runDigest{1679807151, 0, []EpochStat{{1, 16, 1.1283861377287363, 0.8984375}, {2, 32, 0.3339375695915302, 0.9921875}}}},
+		{"pre/parallel", parallel, 0, runDigest{1679807151, 0, []EpochStat{{1, 16, 1.1283861377287363, 0.8984375}, {2, 32, 0.3339375695915302, 0.9921875}}}},
+		{"post", func() Config { return ckCfg(PostOptimizer, CommHost, false, nil) }, 0, runDigest{4078770699, 0, []EpochStat{{1, 16, 1.0379916426276576, 0.90625}, {2, 32, 0.3247559618455464, 0.9921875}}}},
+		{"localsgd", func() Config { return ckCfg(LocalSGD, CommHost, false, nil) }, 0, runDigest{3189653356, 0, []EpochStat{{1, 8, 1.072666013541652, 0.890625}, {2, 16, 0.33879251605021576, 0.9921875}}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := Start(tc.cfg())
+			for i := 0; h.Step() && i+1 != tc.steps; i++ {
+			}
+			res := h.Result()
+			got := runDigest{paramsCRC(res.FinalParams), res.SimSeconds, res.Epochs}
+			if got.crc != tc.want.crc || got.sim != tc.want.sim || !slices.Equal(got.epochs, tc.want.epochs) {
+				t.Errorf("digest %s, want %s", got, tc.want)
+			}
+		})
+	}
+}
+
+func (d runDigest) String() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "runDigest{%d, %v, []EpochStat{", d.crc, d.sim)
+	for i, e := range d.epochs {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		fmt.Fprintf(&b, "{%d, %d, %v, %v}", e.Epoch, e.Steps, e.TrainLoss, e.TestAccuracy)
+	}
+	b.WriteString("}}")
+	return b.String()
 }
