@@ -34,11 +34,10 @@ func main() {
 		target    = flag.Float64("target", 0, "stop at this test accuracy (0 = run all epochs)")
 		model     = flag.String("model", "mlp", "mlp | resnetproxy | bertproxy | lenet")
 		dataset   = flag.String("dataset", "mnist", "mnist | imagenet | maskedlm")
-		commMode  = flag.String("comm", "host", "reduction substrate: host | cluster")
-		overlapOn = flag.Bool("overlap", false, "overlap bucket collectives with backprop (cluster substrate)")
-		strategy  = flag.String("strategy", "auto", "bucket collective: auto | tree | rvh | ring (cluster substrate)")
-		compressF = flag.String("compress", "none", "wire compression (cluster substrate): none | fp16 | int8 | topk | adaptive")
-		net       = flag.String("net", "", "cost model for the cluster substrate: tcp40 | azure | dgx2 (empty = free network)")
+		overlapOn = flag.Bool("overlap", false, "overlap bucket collectives with backprop")
+		strategy  = flag.String("strategy", "auto", "bucket collective: auto | tree | rvh | ring")
+		compressF = flag.String("compress", "none", "wire compression: none | fp16 | int8 | topk | adaptive")
+		net       = flag.String("net", "", "cost model of the simulated cluster: tcp40 | azure | dgx2 (empty = free network)")
 		seed      = flag.Int64("seed", 1, "run seed")
 	)
 	flag.Parse()
@@ -110,15 +109,6 @@ func main() {
 		sched = optim.Scaled{Inner: sched, Factor: *lrScale}
 	}
 
-	var mode trainer.CommMode
-	switch *commMode {
-	case "host":
-		mode = trainer.CommHost
-	case "cluster":
-		mode = trainer.CommCluster
-	default:
-		fatal("unknown comm substrate %q", *commMode)
-	}
 	var strat collective.Strategy
 	switch *strategy {
 	case "auto":
@@ -168,7 +158,6 @@ func main() {
 		Reduction:      red,
 		Scope:          sc,
 		PerLayer:       true,
-		Comm:           mode,
 		Overlap:        *overlapOn,
 		Strategy:       strat,
 		Compression:    comp,
@@ -200,10 +189,8 @@ func main() {
 			*target, res.EpochsToTarget, res.StepsToTarget)
 	}
 	fmt.Printf("final accuracy: %.4f\n", res.FinalAccuracy)
-	if cfg.Comm == trainer.CommCluster {
-		fmt.Printf("simulated reduction time: %.3fs (%s, overlap=%v, strategy=%s)\n",
-			res.SimSeconds, cfg.Comm, cfg.Overlap, strat)
-	}
+	fmt.Printf("simulated reduction time: %.3fs (overlap=%v, strategy=%s)\n",
+		res.SimSeconds, cfg.Overlap, strat)
 }
 
 func fatal(format string, args ...any) {

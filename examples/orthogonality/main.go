@@ -44,7 +44,6 @@ func main() {
 		Test:       test,
 		MaxEpochs:  3,
 		Seed:       12,
-		Parallel:   true,
 		Hook: func(step int, grads [][]float32, layout tensor.Layout) {
 			if step%4 != 0 {
 				return

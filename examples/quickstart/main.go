@@ -35,7 +35,6 @@ func main() {
 			Reduction:  op, // op=hvd.Average -> op=hvd.Adasum: the one line that differs
 			Scope:      trainer.PostOptimizer,
 			PerLayer:   true,
-			Comm:       trainer.CommCluster,
 			Model:      func() *nn.Network { return nn.NewMLP(train.Dim, 64, train.Classes) },
 			Optimizer:  optim.NewAdam(),
 			Schedule:   optim.Constant{Base: 0.001},

@@ -17,7 +17,7 @@
 // The pairwise combine runs on the fused single-pass reduction
 // tensor.DotNorms (two memory traversals per combine instead of four,
 // §4.4.2), and the host-side reductions are available through a Reducer
-// that owns its workspace so steady-state training steps allocate
+// that owns its workspace so steady-state reduction loops allocate
 // nothing. See DESIGN.md for the kernel-fusion and workspace design.
 package adasum
 
@@ -128,7 +128,7 @@ func CombineWindow(dst, a, b []float32, off int, layout tensor.Layout, v []float
 }
 
 // Reducer owns the scratch workspace of the host-side reductions so that
-// repeated steps — the trainer loop calls one reduction per iteration —
+// repeated steps — Figure 2's loop calls one reduction per iteration —
 // allocate nothing in steady state. The zero value is ready to use; the
 // workspace grows on first use and is reused (and regrown when a call
 // presents a larger layout) thereafter.
@@ -240,29 +240,6 @@ func (r *Reducer) TreeReduceInto(dst []float32, grads [][]float32, layout tensor
 		m = nm
 	}
 	CombineLayers(dst, work[0], work[1], layout)
-}
-
-// SumReduce returns the elementwise sum of the gradients — the
-// synchronous-SGD baseline combiner. The result is valid until the
-// Reducer's next call.
-func (r *Reducer) SumReduce(grads [][]float32) []float32 {
-	if len(grads) == 0 {
-		panic("adasum: SumReduce needs at least one gradient")
-	}
-	out := r.ensureOut(len(grads[0]))
-	copy(out, grads[0])
-	for _, g := range grads[1:] {
-		tensor.Axpy(1, g, out)
-	}
-	return out
-}
-
-// MeanReduce returns the elementwise average of the gradients. The result
-// is valid until the Reducer's next call.
-func (r *Reducer) MeanReduce(grads [][]float32) []float32 {
-	out := r.SumReduce(grads)
-	tensor.Scale(1/float32(len(grads)), out)
-	return out
 }
 
 // TreeReduce is the allocating convenience form of Reducer.TreeReduce:

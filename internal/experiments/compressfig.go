@@ -156,7 +156,6 @@ func measureCompressedConvergence(cfg CompressionConfig, codec compress.Compress
 		Reduction:   trainer.ReduceAdasum,
 		Scope:       trainer.PostOptimizer,
 		PerLayer:    true,
-		Comm:        trainer.CommCluster,
 		FusionBytes: 16 << 10, // several buckets per step
 		Compression: codec,
 		Model: func() *nn.Network {

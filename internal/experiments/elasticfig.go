@@ -145,7 +145,6 @@ func runElasticArm(cfg ElasticConfig, train, test *data.Dataset, ranks int, hier
 		Reduction:   trainer.ReduceAdasum,
 		Scope:       trainer.PostOptimizer,
 		PerLayer:    true,
-		Comm:        trainer.CommCluster,
 		Overlap:     true,
 		Strategy:    collective.StrategyRVH,
 		FusionBytes: cfg.FusionBytes,

@@ -79,7 +79,6 @@ func RunFig1(model string, scale Scale) *Fig1Result {
 		Test:       test,
 		MaxEpochs:  1 << 20, // bounded by Steps via the hook below
 		Seed:       7,
-		Parallel:   true,
 	}
 	samplesPerStep := float64(cfg.Workers * cfg.Microbatch)
 	done := false

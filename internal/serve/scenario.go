@@ -49,7 +49,6 @@ func demoJob(seed int64, n, microbatch, epochs int) trainer.Config {
 		Reduction:   trainer.ReduceAdasum,
 		Scope:       trainer.PostOptimizer,
 		PerLayer:    true,
-		Comm:        trainer.CommCluster,
 		Overlap:     true,
 		Strategy:    collective.StrategyRVH,
 		FusionBytes: 2048,

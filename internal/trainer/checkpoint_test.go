@@ -14,9 +14,9 @@ import (
 )
 
 // ckCfg builds a small multi-layer run for the resume property: Adam
-// state (step counter + two moments), several buckets per step on the
-// cluster substrate, mid-epoch checkpoints.
-func ckCfg(scope Scope, comm CommMode, overlap bool, codec compress.Compression) Config {
+// state (step counter + two moments), mid-epoch checkpoints, and on
+// tcp40 several RVH buckets per step under codec.
+func ckCfg(scope Scope, net testNet, overlap bool, codec compress.Compression) Config {
 	train, test := data.GeneratePair(data.Config{
 		N: 512, Dim: 48, Classes: 4, Noise: 0.5, Seed: 51,
 	}, 128)
@@ -26,7 +26,6 @@ func ckCfg(scope Scope, comm CommMode, overlap bool, codec compress.Compression)
 		Reduction:  ReduceAdasum,
 		Scope:      scope,
 		PerLayer:   true,
-		Comm:       comm,
 		Overlap:    overlap,
 		Model:      func() *nn.Network { return nn.NewMLP(48, 16, 4) },
 		Optimizer:  optim.NewAdam(),
@@ -38,7 +37,7 @@ func ckCfg(scope Scope, comm CommMode, overlap bool, codec compress.Compression)
 	if scope == LocalSGD {
 		cfg.LocalSteps = 2
 	}
-	if comm == CommCluster {
+	if net == tcp40 {
 		cfg.FusionBytes = 2048
 		cfg.Net = simnet.TCP40(cfg.Workers)
 		cfg.StepSeconds = 1e-3
@@ -49,7 +48,7 @@ func ckCfg(scope Scope, comm CommMode, overlap bool, codec compress.Compression)
 }
 
 // TestResumeIsBitwiseIdentical is the checkpoint/resume acceptance
-// property: for every Scope × Comm × codec combination — including
+// property: for every Scope × network × codec combination — including
 // top-k with error feedback, whose residuals a naive checkpoint would
 // silently drop — a run that is checkpointed mid-epoch, serialized to
 // bytes, deserialized and resumed in a fresh process-equivalent run
@@ -59,45 +58,47 @@ func TestResumeIsBitwiseIdentical(t *testing.T) {
 	type combo struct {
 		name    string
 		scope   Scope
-		comm    CommMode
+		net     testNet
 		overlap bool
 		codec   compress.Compression
 	}
 	combos := []combo{
-		{"pre/host", PreOptimizer, CommHost, false, nil},
-		{"post/host", PostOptimizer, CommHost, false, nil},
-		{"localsgd/host", LocalSGD, CommHost, false, nil},
-		{"pre/cluster-sync", PreOptimizer, CommCluster, false, nil},
-		{"post/cluster-overlap", PostOptimizer, CommCluster, true, nil},
-		{"localsgd/cluster-overlap", LocalSGD, CommCluster, true, nil},
-		{"pre/cluster-overlap/fp16", PreOptimizer, CommCluster, true, compress.FP16()},
-		{"post/cluster-overlap/int8", PostOptimizer, CommCluster, true, compress.Int8(0)},
-		{"post/cluster-sync/topk-ef", PostOptimizer, CommCluster, false, compress.TopK(0.25, true)},
-		{"post/cluster-overlap/topk-ef", PostOptimizer, CommCluster, true, compress.TopK(0.25, true)},
-		{"localsgd/cluster-overlap/topk-ef", LocalSGD, CommCluster, true, compress.TopK(0.25, true)},
+		// The host rows are the freeNet configs the in-process host
+		// reducer trained (TestHostRunsKeepDigests).
+		{"pre/host", PreOptimizer, freeNet, false, nil},
+		{"post/host", PostOptimizer, freeNet, false, nil},
+		{"localsgd/host", LocalSGD, freeNet, false, nil},
+		{"pre/cluster-sync", PreOptimizer, tcp40, false, nil},
+		{"post/cluster-overlap", PostOptimizer, tcp40, true, nil},
+		{"localsgd/cluster-overlap", LocalSGD, tcp40, true, nil},
+		{"pre/cluster-overlap/fp16", PreOptimizer, tcp40, true, compress.FP16()},
+		{"post/cluster-overlap/int8", PostOptimizer, tcp40, true, compress.Int8(0)},
+		{"post/cluster-sync/topk-ef", PostOptimizer, tcp40, false, compress.TopK(0.25, true)},
+		{"post/cluster-overlap/topk-ef", PostOptimizer, tcp40, true, compress.TopK(0.25, true)},
+		{"localsgd/cluster-overlap/topk-ef", LocalSGD, tcp40, true, compress.TopK(0.25, true)},
 		// Adaptive policy: the restored run must re-decide the same
 		// codecs, so policy state + last-launch telemetry ride the
 		// checkpoint (Worker.Policy, format v2).
-		{"post/cluster-sync/adaptive", PostOptimizer, CommCluster, false, compress.Adaptive()},
-		{"post/cluster-overlap/adaptive", PostOptimizer, CommCluster, true, compress.Adaptive()},
+		{"post/cluster-sync/adaptive", PostOptimizer, tcp40, false, compress.Adaptive()},
+		{"post/cluster-overlap/adaptive", PostOptimizer, tcp40, true, compress.Adaptive()},
 		// Parallel: every worker steps inside its rank body.
-		{"post/cluster-overlap/parallel", PostOptimizer, CommCluster, true, nil},
+		{"post/cluster-overlap/parallel", PostOptimizer, tcp40, true, nil},
 	}
 	for _, tc := range combos {
 		t.Run(tc.name, func(t *testing.T) {
-			ckCfg := func(scope Scope, comm CommMode, overlap bool, codec compress.Compression) Config {
-				cfg := ckCfg(scope, comm, overlap, codec)
+			ckCfg := func(scope Scope, net testNet, overlap bool, codec compress.Compression) Config {
+				cfg := ckCfg(scope, net, overlap, codec)
 				cfg.Parallel = strings.HasSuffix(tc.name, "/parallel")
 				return cfg
 			}
-			base := ckCfg(tc.scope, tc.comm, tc.overlap, tc.codec)
+			base := ckCfg(tc.scope, tc.net, tc.overlap, tc.codec)
 			uninterrupted := Run(base)
 
 			// Capture a mid-epoch snapshot (step 13 of 16 per epoch),
 			// forcing it through the wire format so the serialization is
 			// part of the property.
 			var blob []byte
-			capCfg := ckCfg(tc.scope, tc.comm, tc.overlap, tc.codec)
+			capCfg := ckCfg(tc.scope, tc.net, tc.overlap, tc.codec)
 			capCfg.CheckpointEverySteps = 13
 			capCfg.OnCheckpoint = func(s *checkpoint.State) {
 				if s.Step == 13 {
@@ -113,7 +114,7 @@ func TestResumeIsBitwiseIdentical(t *testing.T) {
 				t.Fatalf("unmarshal: %v", err)
 			}
 
-			resCfg := ckCfg(tc.scope, tc.comm, tc.overlap, tc.codec)
+			resCfg := ckCfg(tc.scope, tc.net, tc.overlap, tc.codec)
 			resCfg.Resume = state
 			resumed := Run(resCfg)
 
@@ -151,7 +152,7 @@ func TestResumeIsBitwiseIdentical(t *testing.T) {
 // axis) are part of the restored state.
 func TestResumeUnderFaultsKeepsTimeline(t *testing.T) {
 	mk := func() Config {
-		cfg := ckCfg(PostOptimizer, CommCluster, true, nil)
+		cfg := ckCfg(PostOptimizer, tcp40, true, nil)
 		cfg.Net.Faults = &simnet.Faults{
 			SkewFactors: []float64{1, 1.4, 1, 1.1},
 			Jitter:      0.1, JitterSeed: 21,
@@ -185,7 +186,7 @@ func TestResumeUnderFaultsKeepsTimeline(t *testing.T) {
 // TestResumeRejectsWorkerMismatch: a snapshot from a different gang
 // size must be rejected loudly at validation time.
 func TestResumeRejectsWorkerMismatch(t *testing.T) {
-	cfg := ckCfg(PreOptimizer, CommHost, false, nil)
+	cfg := ckCfg(PreOptimizer, freeNet, false, nil)
 	cfg.Resume = &checkpoint.State{Workers: 8}
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("expected a worker-count mismatch error")
@@ -203,7 +204,7 @@ func TestResumeRejectsWorkerMismatch(t *testing.T) {
 // legal.
 func TestResumeRejectsMismatchedOptimizerState(t *testing.T) {
 	for _, scope := range []Scope{PreOptimizer, PostOptimizer} {
-		cfg := ckCfg(scope, CommCluster, true, nil)
+		cfg := ckCfg(scope, tcp40, true, nil)
 		h := Start(cfg)
 		for h.CompletedSteps() < 3 {
 			h.Step()
@@ -221,7 +222,7 @@ func TestResumeRejectsMismatchedOptimizerState(t *testing.T) {
 			if st, err = checkpoint.Unmarshal(st.Marshal()); err != nil {
 				t.Fatal(err)
 			}
-			c := ckCfg(scope, CommCluster, true, nil)
+			c := ckCfg(scope, tcp40, true, nil)
 			c.Resume = st
 			defer func() {
 				if r := recover(); r != nil {

@@ -8,13 +8,13 @@ import (
 )
 
 // TestCompressionNoneBitwiseIdenticalToCurrent is the trainer-level A/B
-// pin of the tentpole requirement: Compression = None (or nil) leaves
-// both bucketed comm modes bitwise-identical — parameters AND simulated
-// seconds — to the pre-codec paths.
+// pin of the codec layer's promise: Compression = None (or nil) leaves
+// the sync and the overlapped step bitwise-identical — parameters AND
+// simulated seconds — to the pre-codec paths.
 func TestCompressionNoneBitwiseIdenticalToCurrent(t *testing.T) {
 	for _, over := range []bool{false, true} {
-		base := overlapCfg(4, CommCluster, over)
-		withNone := overlapCfg(4, CommCluster, over)
+		base := overlapCfg(4, tcp40, over)
+		withNone := overlapCfg(4, tcp40, over)
 		withNone.Compression = compress.None()
 		want := Run(base)
 		got := Run(withNone)
@@ -32,9 +32,9 @@ func TestCompressionNoneBitwiseIdenticalToCurrent(t *testing.T) {
 // deterministic bucket programs and error-feedback site sequences.
 func TestCompressedSyncOverlapBitwiseEqual(t *testing.T) {
 	for _, codec := range []compress.Codec{compress.FP16(), compress.TopK(0.1, true)} {
-		syncCfg := overlapCfg(4, CommCluster, false)
+		syncCfg := overlapCfg(4, tcp40, false)
 		syncCfg.Compression = codec
-		overCfg := overlapCfg(4, CommCluster, true)
+		overCfg := overlapCfg(4, tcp40, true)
 		overCfg.Compression = codec
 		syncRes := Run(syncCfg)
 		overRes := Run(overCfg)
@@ -51,25 +51,12 @@ func TestCompressedSyncOverlapBitwiseEqual(t *testing.T) {
 // reaches essentially the same training quality as the exact run on the
 // small MLP config (half precision is where the paper actually trains).
 func TestCompressedTrainingStillLearns(t *testing.T) {
-	exactCfg := overlapCfg(4, CommCluster, false)
+	exactCfg := overlapCfg(4, tcp40, false)
 	exact := Run(exactCfg)
-	fp16Cfg := overlapCfg(4, CommCluster, false)
+	fp16Cfg := overlapCfg(4, tcp40, false)
 	fp16Cfg.Compression = compress.FP16()
 	got := Run(fp16Cfg)
 	if got.FinalAccuracy < exact.FinalAccuracy-0.05 {
 		t.Fatalf("fp16 accuracy %v fell more than 5 points below exact %v", got.FinalAccuracy, exact.FinalAccuracy)
 	}
-}
-
-// TestCompressionRequiresBucketedComm pins the Config validation: the
-// host path has no wire to compress.
-func TestCompressionRequiresBucketedComm(t *testing.T) {
-	cfg := overlapCfg(4, CommHost, false)
-	cfg.Compression = compress.FP16()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("CommHost with lossy Compression did not panic")
-		}
-	}()
-	Run(cfg)
 }

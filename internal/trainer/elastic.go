@@ -31,8 +31,7 @@ import (
 	"repro/internal/tensor"
 )
 
-// FailurePolicy selects how a run reacts to a rank failure on the
-// cluster substrate.
+// FailurePolicy selects how a run reacts to a rank failure.
 type FailurePolicy int
 
 // FailurePolicy values.
@@ -74,10 +73,7 @@ func (p FailurePolicy) String() string {
 func (r *run) elasticStep() (loss, simSec float64) {
 	for {
 		backup := r.efSnapshot()
-		var wireBase int64
-		if r.engine != nil {
-			wireBase = r.engine.world.WireBytes()
-		}
+		wireBase := r.engine.world.WireBytes()
 		loss, simSec, err := r.tryStep()
 		if err == nil {
 			return loss, simSec
@@ -85,14 +81,12 @@ func (r *run) elasticStep() (loss, simSec float64) {
 		// The retry's time base (res.SimSeconds) must sit past the
 		// failure, not pretend the aborted attempt never ran.
 		r.res.SimSeconds += simSec
-		if r.engine != nil {
-			// How far the aborted collective got before every rank
-			// observed the failure is goroutine-schedule-dependent;
-			// rewinding the meter to the attempt boundary keeps wire
-			// accounting deterministic (virtual time is stamped from
-			// the clocks and needs no such correction).
-			r.engine.world.RewindWireBytes(wireBase)
-		}
+		// How far the aborted collective got before every rank observed
+		// the failure is goroutine-schedule-dependent; rewinding the
+		// meter to the attempt boundary keeps wire accounting
+		// deterministic (virtual time is stamped from the clocks and
+		// needs no such correction).
+		r.engine.world.RewindWireBytes(wireBase)
 		r.efRestore(backup)
 		r.handleFailure(err)
 	}
@@ -116,7 +110,7 @@ type efBackup struct {
 // from post-attempt state. GangRestart rewinds from the checkpoint
 // instead, and FailStop never retries, so both skip the copy.
 func (r *run) efSnapshot() *efBackup {
-	if r.engine == nil || r.cfg.OnFailure != ShrinkContinue {
+	if r.cfg.OnFailure != ShrinkContinue {
 		return nil
 	}
 	cdc, pol := compress.Resolve(r.cfg.Compression)
@@ -155,7 +149,7 @@ func (r *run) efRestore(backup *efBackup) {
 // handleFailure absorbs one failed reduction attempt under an elastic
 // policy (FailStop re-raises).
 func (r *run) handleFailure(err *comm.RunError) {
-	if r.cfg.OnFailure == FailStop || r.engine == nil {
+	if r.cfg.OnFailure == FailStop {
 		panic(err)
 	}
 	roots := err.Roots()
@@ -308,12 +302,11 @@ func (r *run) snapshot() *checkpoint.State {
 			continue // dead rank: zero-valued entry
 		}
 		resh, cur := w.iter.State()
-		pw := checkpoint.Worker{Opt: w.opt.Snapshot(), Reshuffles: resh, Cursor: int64(cur)}
-		if r.engine != nil {
-			pw.Residuals = r.engine.engines[rank].SnapshotStreams()
-			pw.Policy = r.engine.engines[rank].SnapshotPolicies()
+		ck.PerWorker[rank] = checkpoint.Worker{
+			Opt: w.opt.Snapshot(), Reshuffles: resh, Cursor: int64(cur),
+			Residuals: r.engine.engines[rank].SnapshotStreams(),
+			Policy:    r.engine.engines[rank].SnapshotPolicies(),
 		}
-		ck.PerWorker[rank] = pw
 	}
 	return ck
 }
@@ -347,9 +340,7 @@ func (r *run) applyState(ck *checkpoint.State, afterReshape bool) {
 	r.sharedOpt.Restore(ck.Shared)
 	for _, rank := range r.active {
 		if rank >= len(ck.PerWorker) {
-			if r.engine != nil {
-				r.engine.engines[rank].SeekStep(int(ck.Step))
-			}
+			r.engine.engines[rank].SeekStep(int(ck.Step))
 			continue
 		}
 		w := r.workers[rank]
@@ -358,20 +349,19 @@ func (r *run) applyState(ck *checkpoint.State, afterReshape bool) {
 		if !afterReshape {
 			w.iter.Restore(pw.Reshuffles, int(pw.Cursor))
 		}
-		if r.engine != nil {
-			res := pw.Residuals
-			if afterReshape {
-				// Hop residuals are shaped by the old group's exchange
-				// pattern; only the source-quantization residual (the
-				// fused bucket itself) survives a reshape.
-				res = overlap.TruncateResidualsToSource(res)
-			}
-			r.engine.engines[rank].RestoreStreams(res)
-			// Policy decision state is group-independent (rung, top-k
-			// budget, telemetry memory) and restores whole either way.
-			r.engine.engines[rank].RestorePolicies(pw.Policy)
-			r.engine.engines[rank].SeekStep(int(ck.Step))
+		res := pw.Residuals
+		if afterReshape {
+			// Hop residuals are shaped by the old group's exchange
+			// pattern; only the source-quantization residual (the fused
+			// bucket itself) survives a reshape.
+			res = overlap.TruncateResidualsToSource(res)
 		}
+		e := r.engine.engines[rank]
+		e.RestoreStreams(res)
+		// Policy decision state is group-independent (rung, top-k budget,
+		// telemetry memory) and restores whole either way.
+		e.RestorePolicies(pw.Policy)
+		e.SeekStep(int(ck.Step))
 	}
 	r.step = int(ck.Step)
 	r.lossSum = ck.LossSum

@@ -28,7 +28,6 @@ func elasticCfg(workers int) Config {
 		Reduction:   ReduceAdasum,
 		Scope:       PostOptimizer,
 		PerLayer:    true,
-		Comm:        CommCluster,
 		Overlap:     true,
 		Strategy:    collective.StrategyRVH,
 		FusionBytes: 4096,
@@ -209,36 +208,6 @@ func TestCrossingStopsAtStepGranularity(t *testing.T) {
 	}
 }
 
-// TestValidateRejectsClusterKnobsOnHost is the regression test for the
-// silent-ignore bug: every cluster-only knob set together with CommHost
-// must come back as a Validate error naming CommCluster (the exact
-// failure mode was `-strategy rvh` without `-comm cluster` silently
-// training on the host tree).
-func TestValidateRejectsClusterKnobsOnHost(t *testing.T) {
-	cases := []struct {
-		name string
-		mut  func(*Config)
-	}{
-		{"strategy", func(c *Config) { c.Strategy = collective.StrategyRVH }},
-		{"fusion bytes", func(c *Config) { c.FusionBytes = 2048 }},
-		{"net", func(c *Config) { c.Net = simnet.TCP40(4) }},
-		{"step seconds", func(c *Config) { c.StepSeconds = 1e-3 }},
-		{"hierarchy", func(c *Config) { c.Hierarchy = []int{2} }},
-		{"failure policy", func(c *Config) { c.OnFailure = ShrinkContinue }},
-	}
-	for _, tc := range cases {
-		cfg := overlapCfg(4, CommHost, false)
-		tc.mut(&cfg)
-		err := cfg.Validate()
-		if err == nil {
-			t.Fatalf("%s: cluster-only knob accepted under CommHost", tc.name)
-		}
-		if !strings.Contains(err.Error(), "CommCluster") {
-			t.Fatalf("%s: error %q does not point at CommCluster", tc.name, err)
-		}
-	}
-}
-
 // TestValidateElasticKnobs covers the elastic-specific validation:
 // gang restart needs a checkpoint cadence, hierarchy widths must divide
 // the workers, and a resume snapshot must match the worker count.
@@ -335,7 +304,6 @@ func TestHierarchicalRVHNonP2Workers(t *testing.T) {
 		Reduction:   ReduceAdasum,
 		Scope:       PostOptimizer,
 		PerLayer:    true,
-		Comm:        CommCluster,
 		Overlap:     true,
 		Strategy:    collective.StrategyRVH,
 		Hierarchy:   []int{3},

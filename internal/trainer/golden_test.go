@@ -34,7 +34,6 @@ func goldenAdaptiveCfg() Config {
 		Reduction:   ReduceAdasum,
 		Scope:       PreOptimizer,
 		PerLayer:    true,
-		Comm:        CommCluster,
 		Overlap:     true,
 		Strategy:    collective.StrategyRVH,
 		FusionBytes: 128 << 10,
@@ -109,7 +108,6 @@ func goldenServeCfg() Config {
 		Reduction:   ReduceAdasum,
 		Scope:       PostOptimizer,
 		PerLayer:    true,
-		Comm:        CommCluster,
 		Overlap:     true,
 		Strategy:    collective.StrategyRVH,
 		FusionBytes: 2048,
@@ -278,7 +276,7 @@ type runDigest struct {
 // with the Parallel row's workers inside their rank bodies.
 func TestHostRunsKeepDigests(t *testing.T) {
 	parallel := func() Config {
-		cfg := ckCfg(PreOptimizer, CommHost, false, nil)
+		cfg := ckCfg(PreOptimizer, freeNet, false, nil)
 		cfg.Parallel = true
 		return cfg
 	}
@@ -288,14 +286,14 @@ func TestHostRunsKeepDigests(t *testing.T) {
 		steps int // 0 runs the whole budget
 		want  runDigest
 	}{
-		{"tree/2", func() Config { return overlapCfg(2, CommHost, false) }, 0, runDigest{1744082084, 0, []EpochStat{{1, 32, 0.17228787314012545, 1}, {2, 64, 2.485073389350401e-05, 1}}}},
-		{"tree/3", func() Config { return overlapCfg(3, CommHost, false) }, 0, runDigest{21222737, 0, []EpochStat{{1, 21, 0.231314793337244, 1}, {2, 42, 9.01759925644044e-06, 1}}}},
-		{"tree/4", func() Config { return overlapCfg(4, CommHost, false) }, 0, runDigest{2307171337, 0, []EpochStat{{1, 16, 0.27886937197804357, 1}, {2, 32, 1.4235509464585531e-05, 1}}}},
+		{"tree/2", func() Config { return overlapCfg(2, freeNet, false) }, 0, runDigest{1744082084, 0, []EpochStat{{1, 32, 0.17228787314012545, 1}, {2, 64, 2.485073389350401e-05, 1}}}},
+		{"tree/3", func() Config { return overlapCfg(3, freeNet, false) }, 0, runDigest{21222737, 0, []EpochStat{{1, 21, 0.231314793337244, 1}, {2, 42, 9.01759925644044e-06, 1}}}},
+		{"tree/4", func() Config { return overlapCfg(4, freeNet, false) }, 0, runDigest{2307171337, 0, []EpochStat{{1, 16, 0.27886937197804357, 1}, {2, 32, 1.4235509464585531e-05, 1}}}},
 		{"fig3", func() Config { return oneStepConfig(ReduceAdasum, PostOptimizer, optim.NewAdam()) }, 1, runDigest{2117539968, 0, nil}},
-		{"pre", func() Config { return ckCfg(PreOptimizer, CommHost, false, nil) }, 0, runDigest{1679807151, 0, []EpochStat{{1, 16, 1.1283861377287363, 0.8984375}, {2, 32, 0.3339375695915302, 0.9921875}}}},
+		{"pre", func() Config { return ckCfg(PreOptimizer, freeNet, false, nil) }, 0, runDigest{1679807151, 0, []EpochStat{{1, 16, 1.1283861377287363, 0.8984375}, {2, 32, 0.3339375695915302, 0.9921875}}}},
 		{"pre/parallel", parallel, 0, runDigest{1679807151, 0, []EpochStat{{1, 16, 1.1283861377287363, 0.8984375}, {2, 32, 0.3339375695915302, 0.9921875}}}},
-		{"post", func() Config { return ckCfg(PostOptimizer, CommHost, false, nil) }, 0, runDigest{4078770699, 0, []EpochStat{{1, 16, 1.0379916426276576, 0.90625}, {2, 32, 0.3247559618455464, 0.9921875}}}},
-		{"localsgd", func() Config { return ckCfg(LocalSGD, CommHost, false, nil) }, 0, runDigest{3189653356, 0, []EpochStat{{1, 8, 1.072666013541652, 0.890625}, {2, 16, 0.33879251605021576, 0.9921875}}}},
+		{"post", func() Config { return ckCfg(PostOptimizer, freeNet, false, nil) }, 0, runDigest{4078770699, 0, []EpochStat{{1, 16, 1.0379916426276576, 0.90625}, {2, 32, 0.3247559618455464, 0.9921875}}}},
+		{"localsgd", func() Config { return ckCfg(LocalSGD, freeNet, false, nil) }, 0, runDigest{3189653356, 0, []EpochStat{{1, 8, 1.072666013541652, 0.890625}, {2, 16, 0.33879251605021576, 0.9921875}}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			h := Start(tc.cfg())

@@ -18,18 +18,18 @@ func TestHandleStepwiseMatchesRun(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		scope   Scope
-		comm    CommMode
+		net     testNet
 		overlap bool
 		codec   compress.Compression
 	}{
-		{"pre/host", PreOptimizer, CommHost, false, nil},
-		{"post/cluster-overlap/topk-ef", PostOptimizer, CommCluster, true, compress.TopK(0.25, true)},
-		{"post/cluster-overlap/adaptive", PostOptimizer, CommCluster, true, compress.Adaptive()},
+		{"pre/host", PreOptimizer, freeNet, false, nil},
+		{"post/cluster-overlap/topk-ef", PostOptimizer, tcp40, true, compress.TopK(0.25, true)},
+		{"post/cluster-overlap/adaptive", PostOptimizer, tcp40, true, compress.Adaptive()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			whole := Run(ckCfg(tc.scope, tc.comm, tc.overlap, tc.codec))
+			whole := Run(ckCfg(tc.scope, tc.net, tc.overlap, tc.codec))
 
-			h := Start(ckCfg(tc.scope, tc.comm, tc.overlap, tc.codec))
+			h := Start(ckCfg(tc.scope, tc.net, tc.overlap, tc.codec))
 			steps := 0
 			for h.Step() {
 				steps++
@@ -78,9 +78,9 @@ func TestHandleSnapshotResumeBitwise(t *testing.T) {
 		{"adaptive", compress.Adaptive()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			whole := Run(ckCfg(PostOptimizer, CommCluster, true, tc.codec))
+			whole := Run(ckCfg(PostOptimizer, tcp40, true, tc.codec))
 
-			first := Start(ckCfg(PostOptimizer, CommCluster, true, tc.codec))
+			first := Start(ckCfg(PostOptimizer, tcp40, true, tc.codec))
 			for i := 0; i < 3; i++ {
 				if !first.Step() {
 					t.Fatal("run finished before the preemption point")
@@ -91,7 +91,7 @@ func TestHandleSnapshotResumeBitwise(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			cfg := ckCfg(PostOptimizer, CommCluster, true, tc.codec)
+			cfg := ckCfg(PostOptimizer, tcp40, true, tc.codec)
 			cfg.Resume = ck
 			second := Start(cfg)
 			if got := second.CompletedSteps(); got != 3 {
@@ -122,7 +122,7 @@ func TestHandleSnapshotResumeBitwise(t *testing.T) {
 // on the new worker count, and a same-size resume under the flag stays
 // on the plain bitwise path.
 func TestReshapeResumeMigratesAcrossGangSizes(t *testing.T) {
-	base := func() Config { return ckCfg(PostOptimizer, CommCluster, true, compress.TopK(0.25, true)) }
+	base := func() Config { return ckCfg(PostOptimizer, tcp40, true, compress.TopK(0.25, true)) }
 
 	first := Start(base())
 	for i := 0; i < 3; i++ {

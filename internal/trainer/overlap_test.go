@@ -11,11 +11,22 @@ import (
 	"repro/internal/tensor"
 )
 
+// testNet picks the network of a test config. freeNet leaves Net, the
+// fusion threshold, the step time and the collective at their zero
+// values: the configs the in-process host reducer trained until every
+// run stepped on the cluster. tcp40 prices the wire and sets the
+// cluster knobs each config helper names.
+type testNet bool
+
+const (
+	freeNet testNet = false
+	tcp40   testNet = true
+)
+
 // overlapCfg is a small but multi-layer training setup shared by the
-// comm-mode equivalence tests. Cluster-only knobs are set only on the
-// cluster substrate — Validate now rejects them under CommHost instead
-// of silently ignoring them.
-func overlapCfg(workers int, mode CommMode, over bool) Config {
+// substrate equivalence tests. On tcp40 a small fusion threshold makes
+// several buckets form per step.
+func overlapCfg(workers int, net testNet, over bool) Config {
 	train, test := data.GeneratePair(data.Config{
 		N: 512, Dim: 96, Classes: 6, Noise: 0.5, Seed: 21,
 	}, 128)
@@ -25,7 +36,6 @@ func overlapCfg(workers int, mode CommMode, over bool) Config {
 		Reduction:  ReduceAdasum,
 		Scope:      PreOptimizer,
 		PerLayer:   true,
-		Comm:       mode,
 		Overlap:    over,
 		Model:      func() *nn.Network { return nn.NewMLP(96, 24, 6) },
 		Optimizer:  optim.NewMomentum(0.9),
@@ -34,8 +44,7 @@ func overlapCfg(workers int, mode CommMode, over bool) Config {
 		MaxEpochs: 2,
 		Seed:      11,
 	}
-	if mode == CommCluster {
-		// Small threshold so several buckets form per step.
+	if net == tcp40 {
 		cfg.FusionBytes = 2048
 		cfg.Net = simnet.TCP40(workers)
 		cfg.StepSeconds = 1e-3
@@ -53,9 +62,9 @@ func TestOverlapStepBitwiseEqualsSyncStep(t *testing.T) {
 		workers int
 		strat   collective.Strategy
 	}{{4, collective.StrategyTree}, {5, collective.StrategyTree}, {4, collective.StrategyRVH}, {8, collective.StrategyRVH}} {
-		syncCfg := overlapCfg(tc.workers, CommCluster, false)
+		syncCfg := overlapCfg(tc.workers, tcp40, false)
 		syncCfg.Strategy = tc.strat
-		overCfg := overlapCfg(tc.workers, CommCluster, true)
+		overCfg := overlapCfg(tc.workers, tcp40, true)
 		overCfg.Strategy = tc.strat
 		syncRes := Run(syncCfg)
 		overRes := Run(overCfg)
@@ -69,36 +78,20 @@ func TestOverlapStepBitwiseEqualsSyncStep(t *testing.T) {
 	}
 }
 
-// TestBucketedTreeBitwiseEqualsHostPath pins the bucketed substrate to
-// the monolithic host reducer: with StrategyTree the collective run is
-// bitwise-identical to the CommHost run — same buckets or not, same
-// floats.
+// TestBucketedTreeBitwiseEqualsHostPath pins the bucketed TCP40 runs
+// to the host path: the freeNet config, one 2 MB bucket per step, which
+// TestHostRunsKeepDigests holds to the in-process host reducer's
+// digests. With StrategyTree the bucketed runs are bitwise-identical to
+// it — same buckets or not, same floats.
 func TestBucketedTreeBitwiseEqualsHostPath(t *testing.T) {
 	for _, workers := range []int{2, 3, 4} {
-		host := Run(overlapCfg(workers, CommHost, false))
+		host := Run(overlapCfg(workers, freeNet, false))
 		for _, over := range []bool{false, true} {
-			got := Run(overlapCfg(workers, CommCluster, over))
+			got := Run(overlapCfg(workers, tcp40, over))
 			if !tensor.Equal(got.FinalParams, host.FinalParams, 0) {
 				t.Fatalf("workers=%d overlap=%v: bucketed params not bitwise-equal to host path", workers, over)
 			}
 		}
-	}
-}
-
-// TestBucketedSumMatchesHostMean checks the sync-SGD path through the
-// ring collective against the host mean at float tolerance (the ring's
-// summation order legitimately differs).
-func TestBucketedSumMatchesHostMean(t *testing.T) {
-	mk := func(mode CommMode, over bool) Config {
-		cfg := overlapCfg(4, mode, over)
-		cfg.Reduction = ReduceSum
-		cfg.PerLayer = false
-		return cfg
-	}
-	host := Run(mk(CommHost, false))
-	over := Run(mk(CommCluster, true))
-	if !tensor.Equal(host.FinalParams, over.FinalParams, 1e-4) {
-		t.Fatalf("bucketed ring-sum run diverged from host mean run beyond tolerance")
 	}
 }
 
@@ -107,8 +100,8 @@ func TestBucketedSumMatchesHostMean(t *testing.T) {
 // communication with backprop must shorten the simulated run, and the
 // overlapped run can never beat its own compute floor.
 func TestOverlapSimTimeBelowSyncUnderInterNodeModel(t *testing.T) {
-	syncRes := Run(overlapCfg(4, CommCluster, false))
-	overRes := Run(overlapCfg(4, CommCluster, true))
+	syncRes := Run(overlapCfg(4, tcp40, false))
+	overRes := Run(overlapCfg(4, tcp40, true))
 	if overRes.SimSeconds >= syncRes.SimSeconds {
 		t.Fatalf("overlap sim time %v not below sync %v", overRes.SimSeconds, syncRes.SimSeconds)
 	}
@@ -126,7 +119,7 @@ func TestBucketedAdasumRequiresPerLayer(t *testing.T) {
 			t.Fatal("expected panic for bucketed whole-gradient Adasum")
 		}
 	}()
-	cfg := overlapCfg(4, CommCluster, true)
+	cfg := overlapCfg(4, tcp40, true)
 	cfg.PerLayer = false
 	Run(cfg)
 }
@@ -136,7 +129,7 @@ func TestBucketedAdasumRequiresPerLayer(t *testing.T) {
 // silently replace the Adasum combine with plain averaging. The reject
 // surfaces as a Validate error first, then as Run's panic.
 func TestBucketedAdasumRejectsRingSum(t *testing.T) {
-	cfg := overlapCfg(4, CommCluster, true)
+	cfg := overlapCfg(4, tcp40, true)
 	cfg.Strategy = collective.StrategyRing
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("expected Validate error for ReduceAdasum with StrategyRing")
@@ -153,7 +146,7 @@ func TestBucketedAdasumRejectsRingSum(t *testing.T) {
 // StrategyRVH must not be silently replaced by the ring collective when
 // the reduction is a sum.
 func TestBucketedSumRejectsRVH(t *testing.T) {
-	cfg := overlapCfg(4, CommCluster, true)
+	cfg := overlapCfg(4, tcp40, true)
 	cfg.Reduction = ReduceSum
 	cfg.PerLayer = false
 	cfg.Strategy = collective.StrategyRVH

@@ -12,7 +12,7 @@ import (
 // simnet's parallel rank execution: rank goroutines really run
 // concurrently (per-rank sharded buffer pool and wire meter, no global
 // serialization), so the Go scheduler interleaves them differently at
-// every GOMAXPROCS — and none of it may show. For every Scope x Comm x
+// every GOMAXPROCS — and none of it may show. For every Scope x network x
 // codec combination (including top-k with error feedback, whose
 // residual state is the easiest thing to corrupt with a misordered
 // reduction), a full training run at GOMAXPROCS=1 and at a wide
@@ -24,35 +24,37 @@ func TestRunIsBitwiseInvariantUnderGOMAXPROCS(t *testing.T) {
 	type combo struct {
 		name    string
 		scope   Scope
-		comm    CommMode
+		net     testNet
 		overlap bool
 		codec   compress.Compression
 	}
 	combos := []combo{
-		{"pre/host", PreOptimizer, CommHost, false, nil},
-		// Parallel: the worker fan-out reads the master's parameter vector
-		// from every replica at once (pre-optimizer workers share it).
-		{"pre/host/parallel", PreOptimizer, CommHost, false, nil},
-		// On the cluster each worker steps inside its rank body; a
-		// post-optimizer replica shares the master's vector too.
-		{"pre/cluster-overlap/parallel", PreOptimizer, CommCluster, true, nil},
-		{"post/cluster-overlap/parallel", PostOptimizer, CommCluster, true, nil},
-		{"localsgd/cluster-overlap/parallel", LocalSGD, CommCluster, true, nil},
-		{"post/host", PostOptimizer, CommHost, false, nil},
-		{"localsgd/host", LocalSGD, CommHost, false, nil},
-		{"pre/cluster-sync", PreOptimizer, CommCluster, false, nil},
-		{"post/cluster-overlap", PostOptimizer, CommCluster, true, nil},
-		{"localsgd/cluster-overlap", LocalSGD, CommCluster, true, nil},
-		{"pre/cluster-overlap/fp16", PreOptimizer, CommCluster, true, compress.FP16()},
-		{"post/cluster-overlap/int8", PostOptimizer, CommCluster, true, compress.Int8(0)},
-		{"post/cluster-sync/topk-ef", PostOptimizer, CommCluster, false, compress.TopK(0.25, true)},
-		{"post/cluster-overlap/topk-ef", PostOptimizer, CommCluster, true, compress.TopK(0.25, true)},
-		{"localsgd/cluster-overlap/topk-ef", LocalSGD, CommCluster, true, compress.TopK(0.25, true)},
+		// The host rows are the freeNet configs the in-process host
+		// reducer trained (TestHostRunsKeepDigests).
+		{"pre/host", PreOptimizer, freeNet, false, nil},
+		// Parallel: each worker steps inside its rank body, and every
+		// replica reads the master's parameter vector at once
+		// (pre-optimizer workers share it, and a post-optimizer
+		// replica with one local step too).
+		{"pre/host/parallel", PreOptimizer, freeNet, false, nil},
+		{"pre/cluster-overlap/parallel", PreOptimizer, tcp40, true, nil},
+		{"post/cluster-overlap/parallel", PostOptimizer, tcp40, true, nil},
+		{"localsgd/cluster-overlap/parallel", LocalSGD, tcp40, true, nil},
+		{"post/host", PostOptimizer, freeNet, false, nil},
+		{"localsgd/host", LocalSGD, freeNet, false, nil},
+		{"pre/cluster-sync", PreOptimizer, tcp40, false, nil},
+		{"post/cluster-overlap", PostOptimizer, tcp40, true, nil},
+		{"localsgd/cluster-overlap", LocalSGD, tcp40, true, nil},
+		{"pre/cluster-overlap/fp16", PreOptimizer, tcp40, true, compress.FP16()},
+		{"post/cluster-overlap/int8", PostOptimizer, tcp40, true, compress.Int8(0)},
+		{"post/cluster-sync/topk-ef", PostOptimizer, tcp40, false, compress.TopK(0.25, true)},
+		{"post/cluster-overlap/topk-ef", PostOptimizer, tcp40, true, compress.TopK(0.25, true)},
+		{"localsgd/cluster-overlap/topk-ef", LocalSGD, tcp40, true, compress.TopK(0.25, true)},
 		// Adaptive policy: the codec decision itself must be a pure
 		// function of rank-private telemetry for these to hold.
-		{"post/cluster-sync/adaptive", PostOptimizer, CommCluster, false, compress.Adaptive()},
-		{"post/cluster-overlap/adaptive", PostOptimizer, CommCluster, true, compress.Adaptive()},
-		{"post/cluster-overlap/adaptive/parallel", PostOptimizer, CommCluster, true, compress.Adaptive()},
+		{"post/cluster-sync/adaptive", PostOptimizer, tcp40, false, compress.Adaptive()},
+		{"post/cluster-overlap/adaptive", PostOptimizer, tcp40, true, compress.Adaptive()},
+		{"post/cluster-overlap/adaptive/parallel", PostOptimizer, tcp40, true, compress.Adaptive()},
 	}
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
@@ -60,7 +62,7 @@ func TestRunIsBitwiseInvariantUnderGOMAXPROCS(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			parallel := strings.HasSuffix(tc.name, "/parallel")
 			cfg := func() Config {
-				cfg := ckCfg(tc.scope, tc.comm, tc.overlap, tc.codec)
+				cfg := ckCfg(tc.scope, tc.net, tc.overlap, tc.codec)
 				cfg.Parallel = parallel
 				return cfg
 			}

@@ -19,7 +19,9 @@
 // accuracy); system efficiency comes from the simnet cost model and is
 // composed with these results by the experiments package.
 //
-// On the cluster substrate the harness is elastic: injected stragglers
+// Every run steps on one substrate, a simulated cluster whose ranks are
+// the workers (a nil Config.Net makes its network free). The harness is
+// elastic: injected stragglers
 // stretch simulated step time without touching the floats, a rank
 // failure is absorbed by the OnFailure policy (shrink-and-continue or
 // gang-restart on the survivors — see elastic.go), and
@@ -30,10 +32,7 @@ package trainer
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sync"
 
-	"repro/internal/adasum"
 	"repro/internal/checkpoint"
 	"repro/internal/collective"
 	"repro/internal/comm"
@@ -68,33 +67,16 @@ func (r Reduction) String() string {
 	return "sum"
 }
 
-// CommMode selects the substrate the reduction executes on — and only
-// the substrate. Scheduling (Config.Overlap) and the collective
-// algorithm (Config.Strategy) are orthogonal knobs; they used to be
-// folded into this enum and a separate BucketAlgo.
+// CommMode names the substrate the reduction executes on. There is one.
 type CommMode int
 
-// CommMode values.
-const (
-	// CommHost combines contributions with the in-process adasum.Reducer
-	// — no communication is simulated (the seed behaviour, and the
-	// algorithmic-efficiency default).
-	CommHost CommMode = iota
-	// CommCluster runs the reduction as bucketed collectives on a
-	// simulated cluster (workers become comm ranks) through per-rank
-	// communicators. Buckets block at launch unless Config.Overlap
-	// schedules them against the remaining backward compute (§4.4.3);
-	// either way the results are bitwise-identical — only the simulated
-	// step time differs.
-	CommCluster
-)
-
-func (m CommMode) String() string {
-	if m == CommCluster {
-		return "cluster"
-	}
-	return "host"
-}
+// CommCluster, the zero value, runs the reduction as bucketed
+// collectives on a simulated cluster (workers become comm ranks)
+// through per-rank communicators. Buckets block at launch unless
+// Config.Overlap schedules them against the remaining backward compute
+// (§4.4.3); either way the results are bitwise-identical — only the
+// simulated step time differs.
+const CommCluster CommMode = 0
 
 // Scope selects where the reduction happens relative to the optimizer.
 type Scope int
@@ -131,22 +113,26 @@ type Config struct {
 
 	Reduction Reduction
 	Scope     Scope
-	PerLayer  bool // per-layer Adasum (§3.6); false = whole-gradient
+	// PerLayer selects per-layer Adasum (§3.6), which ReduceAdasum
+	// requires: bucket boundaries must not change the combine's
+	// segmentation. Whole-model Adasum is a library call
+	// (adasum.TreeReduce over a flat layout), not a training mode.
+	PerLayer bool
 
-	// Comm selects the reduction substrate. CommCluster requires
-	// PerLayer for Adasum (bucket boundaries must not change the
-	// combine's segmentation, §3.6) and accepts the knobs below.
+	// Comm names the reduction substrate; CommCluster, the zero value,
+	// is the only one. The field stays because the benchmark's workloads
+	// set it; Validate rejects any other value.
 	Comm CommMode
 	// Overlap schedules each bucket's collective asynchronously against
 	// the remaining backward compute (§4.4.3) — the overlapped step
 	// loop. Results are bitwise-identical with and without Overlap; only
-	// the simulated step time differs. CommCluster only.
+	// the simulated step time differs.
 	Overlap bool
-	// FusionBytes is the bucket threshold of the cluster substrate
-	// (<= 0 selects the 2 MB Horovod default).
+	// FusionBytes is the bucket threshold (<= 0 selects the 2 MB Horovod
+	// default).
 	FusionBytes int
-	// Net is the simnet cost model for virtual-time accounting on the
-	// cluster substrate; nil simulates a free network (correctness only).
+	// Net is the simnet cost model for virtual-time accounting; nil
+	// simulates a free network (correctness only).
 	Net *simnet.Model
 	// StepSeconds is the simulated forward+backward time of one local
 	// step, overlapped against communication when Overlap is set and
@@ -154,14 +140,14 @@ type Config struct {
 	StepSeconds float64
 	// Strategy selects the per-bucket collective on the unified
 	// collective.Strategy axis. For ReduceAdasum: StrategyTree (the
-	// StrategyAuto default) is bitwise-equal to the CommHost tree,
-	// StrategyRVH is the paper's Algorithm 1, and StrategyRing is
-	// rejected — a ring sum would silently replace the adaptive combine.
-	// For ReduceSum only StrategyRing (or Auto) is accepted.
-	// CommCluster only.
+	// StrategyAuto default) is bitwise-equal to adasum.TreeReduce over
+	// the model's layout, StrategyRVH is the paper's Algorithm 1, and
+	// StrategyRing is rejected — a ring sum would silently replace the
+	// adaptive combine. For ReduceSum only StrategyRing (or Auto) is
+	// accepted.
 	Strategy collective.Strategy
-	// Compression is the unified compression knob of the cluster
-	// substrate — the same field name collective.Config and
+	// Compression is the unified compression knob — the same field name
+	// collective.Config and
 	// overlap.Options carry. A compress.Codec fixes one wire format:
 	// bucket payloads are quantized at launch and every collective hop
 	// carries encoded words, so the simulated clock and wire-byte meter
@@ -170,21 +156,20 @@ type Config struct {
 	// bucket launch from rank-private telemetry; its decision state
 	// rides checkpoints so resumed runs stay bitwise-identical. nil or
 	// compress.None() leaves the substrate bitwise-identical to the
-	// uncompressed paths; compression requires CommCluster (the host
-	// path has no wire to compress).
+	// uncompressed paths.
 	Compression compress.Compression
 	// Hierarchy, when non-empty, reduces each bucket hierarchically
 	// (collective.NewHierarchy widths: e.g. {4} sums within 4-GPU nodes
 	// before the cross-node combine, {4, 2} adds racks of 2 nodes). The
-	// product of widths must divide Workers. CommCluster only.
+	// product of widths must divide Workers.
 	Hierarchy []int
 
-	// OnFailure selects the reaction to a rank failure on the cluster
-	// substrate — injected through Net.Faults.FailAtSeconds or a genuine
-	// worker panic. The zero value FailStop re-raises the failure; the
-	// elastic policies rebuild on the survivors and keep training. See
-	// FailurePolicy. CommCluster only (the host reducer has no ranks to
-	// lose).
+	// OnFailure selects the reaction to a rank failure — injected through
+	// Net.Faults.FailAtSeconds, or a panic inside a rank's reduction. The
+	// zero value FailStop re-raises the failure; the elastic policies
+	// rebuild on the survivors and keep training. See FailurePolicy. A
+	// panic in a worker step is a bug, not a rank failure: Handle.Step
+	// re-raises it under every policy.
 	OnFailure FailurePolicy
 	// CheckpointEverySteps > 0 captures a full training snapshot every n
 	// reduction steps; OnCheckpoint (when set) receives each one.
@@ -243,16 +228,17 @@ type Config struct {
 
 	// Hook, when set, observes the per-worker contributions at every
 	// reduction (gradients or deltas depending on Scope). Used by the
-	// Figure 1 orthogonality experiment.
+	// Figure 1 orthogonality experiment. It must see every contribution
+	// before any rank starts reducing, so a run with a Hook steps its
+	// workers one after another, whatever Parallel says.
 	Hook func(step int, contributions [][]float32, layout tensor.Layout)
 
-	// Parallel computes worker steps concurrently. On CommCluster without
-	// a Hook each worker's local step runs at the top of its own rank
-	// body, just before that rank's bucketed reduction, so a rank that
-	// finishes early starts communicating while slower ranks still
-	// compute; elsewhere tryStep fans the workers out over
-	// GOMAXPROCS goroutines before the combine. Results are
-	// bitwise-identical either way.
+	// Parallel computes worker steps concurrently: each worker's local
+	// step runs at the top of its own rank body, just before that rank's
+	// bucketed reduction, so a rank that finishes early starts
+	// communicating while slower ranks still compute. Without it (or
+	// with a Hook) the step loop runs the workers one after another
+	// before the reduction. Results are bitwise-identical either way.
 	Parallel bool
 }
 
@@ -287,7 +273,8 @@ type Result struct {
 	StepsPerEpoch  int
 	FinalParams    []float32 // trained model snapshot (phase chaining)
 	// SimSeconds is the cumulative simulated wall-clock of the reduction
-	// steps under Net (bucketed comm modes only; 0 for CommHost).
+	// steps under Net and StepSeconds (0 on a free network with no step
+	// time).
 	SimSeconds float64
 	// Failures lists the rank-failure incidents absorbed under an
 	// elastic OnFailure policy, in step order.
@@ -324,8 +311,8 @@ type worker struct {
 
 // Validate checks the configuration and reports the first problem as an
 // error, covering everything Run would otherwise panic on: required
-// fields, substrate/knob compatibility (bucketed Adasum needs PerLayer,
-// lossy codecs need a wire, strategy/reduction agreement). Callers that
+// fields and knob compatibility (Adasum needs PerLayer, strategy and
+// reduction agree, hierarchy widths divide the gang). Callers that
 // assemble configs from user input — the cmds — validate first and
 // report cleanly; Run still panics on an invalid config, programmer
 // error by then.
@@ -347,72 +334,41 @@ func (c Config) Validate() error {
 	default:
 		return fmt.Errorf("Compression must be a compress.Codec or a compress.Policy (got %T)", c.Compression)
 	}
-	compCodec, compPolicy := compress.Resolve(c.Compression)
-	switch c.Comm {
-	case CommHost:
-		// Cluster-only knobs are rejected loudly: they used to be
-		// silently ignored, so `-strategy rvh` without `-comm cluster`
-		// trained on the host tree with no diagnostic.
-		if compCodec != nil || compPolicy != nil {
-			return fmt.Errorf("Compression requires Comm = CommCluster; the host path has no wire to compress")
-		}
-		if c.Overlap {
-			return fmt.Errorf("Overlap requires Comm = CommCluster; the host path has no communication to overlap")
-		}
-		if c.Strategy != collective.StrategyAuto {
-			return fmt.Errorf("Strategy %v requires Comm = CommCluster; the host reducer runs no bucket collectives", c.Strategy)
-		}
-		if c.FusionBytes != 0 {
-			return fmt.Errorf("FusionBytes requires Comm = CommCluster; the host reducer does not bucket")
-		}
-		if c.Net != nil {
-			return fmt.Errorf("Net requires Comm = CommCluster; the host path simulates no communication")
-		}
-		if c.StepSeconds != 0 {
-			return fmt.Errorf("StepSeconds requires Comm = CommCluster; the host path keeps no virtual clock")
-		}
-		if len(c.Hierarchy) > 0 {
-			return fmt.Errorf("Hierarchy requires Comm = CommCluster; the host reducer has no communicators to split")
-		}
-		if c.OnFailure != FailStop {
-			return fmt.Errorf("OnFailure %v requires Comm = CommCluster; the host reducer has no ranks to lose", c.OnFailure)
-		}
-	case CommCluster:
-		if c.Reduction == ReduceAdasum && !c.PerLayer {
-			return fmt.Errorf("bucketed Adasum requires PerLayer (bucket boundaries must not change the combine's segmentation, §3.6)")
-		}
-		strat, err := c.bucketStrategy()
-		if err != nil {
-			return err
-		}
-		outer := c.Workers
-		if len(c.Hierarchy) > 0 {
-			stride := 1
-			for _, w := range c.Hierarchy {
-				if w <= 0 {
-					return fmt.Errorf("Hierarchy widths must be positive (got %v)", c.Hierarchy)
-				}
-				stride *= w
+	if c.Comm != CommCluster {
+		return fmt.Errorf("unknown CommMode %d", c.Comm)
+	}
+	if c.Reduction == ReduceAdasum && !c.PerLayer {
+		return fmt.Errorf("Adasum requires PerLayer (bucket boundaries must not change the combine's segmentation, §3.6)")
+	}
+	strat, err := c.bucketStrategy()
+	if err != nil {
+		return err
+	}
+	outer := c.Workers
+	if len(c.Hierarchy) > 0 {
+		stride := 1
+		for _, w := range c.Hierarchy {
+			if w <= 0 {
+				return fmt.Errorf("Hierarchy widths must be positive (got %v)", c.Hierarchy)
 			}
-			if c.Workers%stride != 0 {
-				return fmt.Errorf("Hierarchy widths %v do not divide Workers = %d", c.Hierarchy, c.Workers)
-			}
-			outer = c.Workers / stride
+			stride *= w
 		}
-		if strat == collective.StrategyRVH && outer&(outer-1) != 0 {
-			return fmt.Errorf("StrategyRVH requires a power-of-two reduction group (got %d)", outer)
+		if c.Workers%stride != 0 {
+			return fmt.Errorf("Hierarchy widths %v do not divide Workers = %d", c.Hierarchy, c.Workers)
 		}
-		switch c.OnFailure {
-		case FailStop, ShrinkContinue:
-		case GangRestart:
-			if c.CheckpointEverySteps <= 0 {
-				return fmt.Errorf("GangRestart requires CheckpointEverySteps > 0 (there is nothing to restart from)")
-			}
-		default:
-			return fmt.Errorf("unknown FailurePolicy %d", c.OnFailure)
+		outer = c.Workers / stride
+	}
+	if strat == collective.StrategyRVH && outer&(outer-1) != 0 {
+		return fmt.Errorf("StrategyRVH requires a power-of-two reduction group (got %d)", outer)
+	}
+	switch c.OnFailure {
+	case FailStop, ShrinkContinue:
+	case GangRestart:
+		if c.CheckpointEverySteps <= 0 {
+			return fmt.Errorf("GangRestart requires CheckpointEverySteps > 0 (there is nothing to restart from)")
 		}
 	default:
-		return fmt.Errorf("unknown CommMode %d", c.Comm)
+		return fmt.Errorf("unknown FailurePolicy %d", c.OnFailure)
 	}
 	if c.Resume != nil && c.Resume.Workers != c.Workers && !c.ReshapeResume {
 		return fmt.Errorf("Resume snapshot was captured with %d workers, config has %d (set ReshapeResume to migrate across gang sizes)", c.Resume.Workers, c.Workers)
@@ -420,8 +376,7 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// bucketStrategy resolves Config.Strategy against the reduction for the
-// cluster substrate.
+// bucketStrategy resolves Config.Strategy against the reduction.
 func (c Config) bucketStrategy() (collective.Strategy, error) {
 	if c.Reduction == ReduceSum {
 		switch c.Strategy {
@@ -529,13 +484,8 @@ func (h *Handle) Workers() int { return len(h.r.active) }
 func (h *Handle) Failures() []FailureEvent { return h.r.res.Failures }
 
 // WireBytes returns the cumulative bytes shipped on the run's simulated
-// fabric (0 on the host substrate).
-func (h *Handle) WireBytes() int64 {
-	if h.r.engine == nil {
-		return 0
-	}
-	return h.r.engine.world.WireBytes()
-}
+// fabric (metered on a free network too).
+func (h *Handle) WireBytes() int64 { return h.r.engine.world.WireBytes() }
 
 // Snapshot captures a full checkpoint at the current step boundary —
 // the preemption protocol's Marshal point. The returned state is a deep
@@ -570,12 +520,12 @@ type run struct {
 	active  []int
 
 	sharedOpt optim.Optimizer // pre-optimizer scope state
-	// red, contributions and losses are per-run scratch reused every
-	// step so the steady-state combine phase allocates nothing.
-	red           *adasum.Reducer
-	engine        *commEngine
-	contributions [][]float32 // indexed by world rank
-	losses        []float64   // indexed by world rank
+	engine    *commEngine
+	// contributions holds each worker's grad, indexed by world rank: the
+	// reduction's input, and on return its output. losses is per-step
+	// scratch, indexed the same way.
+	contributions [][]float32
+	losses        []float64
 
 	testX      []float32
 	testLabels []int
@@ -601,6 +551,7 @@ func newRun(cfg Config) *run {
 
 	workers := make([]*worker, cfg.Workers)
 	active := make([]int, cfg.Workers)
+	contributions := make([][]float32, cfg.Workers)
 	for w := range workers {
 		shard := cfg.Train.Shard(w, cfg.Workers)
 		wk := &worker{
@@ -619,6 +570,7 @@ func newRun(cfg Config) *run {
 		}
 		workers[w] = wk
 		active[w] = w
+		contributions[w] = wk.grad
 	}
 
 	samplesPerReduce := cfg.Workers * cfg.Microbatch * cfg.LocalSteps
@@ -635,14 +587,13 @@ func newRun(cfg Config) *run {
 		workers:       workers,
 		active:        active,
 		sharedOpt:     cfg.Optimizer.Clone(),
-		red:           adasum.NewReducer(),
 		engine:        newCommEngine(cfg, layout),
-		contributions: make([][]float32, cfg.Workers),
+		contributions: contributions,
 		losses:        make([]float64, cfg.Workers),
 		res:           &Result{EpochsToTarget: -1, StepsToTarget: -1, StepsPerEpoch: stepsPerEpoch},
 		stepsPerEpoch: stepsPerEpoch,
 	}
-	if r.engine != nil && cfg.Parallel && cfg.Hook == nil {
+	if cfg.Parallel && cfg.Hook == nil {
 		r.engine.local = r.rankWorker
 	}
 	r.testX, r.testLabels = cfg.Test.Batch(seq(cfg.Test.N))
@@ -717,73 +668,40 @@ func (r *run) recordEpoch(epoch int, acc float64) {
 // tryStep performs one full reduction step attempt (LocalSteps local
 // steps on every active worker followed by the combine) and returns the
 // mean local train loss plus the simulated step seconds. A rank failure
-// on the cluster substrate comes back as the RunError with parameters
-// untouched — the attempt updated nothing, so a retry on the survivors
-// is clean. A panic in a worker step is a programming error, not a rank
-// failure: it is re-raised here whichever way the step ran.
+// comes back as the RunError with parameters untouched — the attempt
+// updated nothing, so a retry on the survivors is clean. A panic in a
+// worker step is a programming error, not a rank failure: it is
+// re-raised here whichever way the step ran.
 func (r *run) tryStep() (loss, simSec float64, failure *comm.RunError) {
 	cfg := r.cfg
 	lr := cfg.Schedule.LR(r.step)
 	r.lr = lr
 
-	switch {
-	case r.engine != nil && r.engine.local != nil:
-		// Each rank body runs its worker's step (commEngine.stepRank).
-	case cfg.Parallel && len(r.active) > 1:
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-		for _, rank := range r.active {
-			wg.Add(1)
-			go func(w *worker, wi int) {
-				defer wg.Done()
-				sem <- struct{}{}
-				r.runWorker(w, wi, lr)
-				<-sem
-			}(r.workers[rank], rank)
-		}
-		wg.Wait()
-	default:
+	// On the Parallel path each rank body runs its worker's step
+	// (commEngine.stepRank).
+	if r.engine.local == nil {
 		for _, rank := range r.active {
 			r.runWorker(r.workers[rank], rank, lr)
 		}
-	}
-
-	for _, rank := range r.active {
-		r.contributions[rank] = r.workers[rank].grad
 	}
 	if cfg.Hook != nil {
 		cfg.Hook(r.step, r.hookContributions(), r.layout)
 	}
 
-	redLayout := r.layout
-	if !cfg.PerLayer {
-		redLayout = tensor.FlatLayout(len(r.params))
-	}
-
-	// The combined result lives in the Reducer's workspace (host mode)
-	// or overwrites the contributions in place (bucketed modes); either
-	// way it is consumed immediately by the parameter update below.
-	var combined []float32
-	switch {
-	case r.engine != nil:
-		var err *comm.RunError
-		simSec, err = r.engine.reduce(r.contributions, r.active, r.res.SimSeconds, r.step)
-		if err != nil {
-			for _, f := range err.Failures {
-				if wp, ok := f.Err.(workerPanic); ok {
-					panic(wp.v)
-				}
+	// The reduction overwrites the contributions in place with the
+	// combined result, which the parameter update below consumes.
+	simSec, err := r.engine.reduce(r.contributions, r.active, r.res.SimSeconds, r.step)
+	if err != nil {
+		for _, f := range err.Failures {
+			if wp, ok := f.Err.(workerPanic); ok {
+				panic(wp.v)
 			}
-			// simSec is the aborted attempt's elapsed virtual time; the
-			// caller charges it so failures are visible in SimSeconds.
-			return 0, simSec, err
 		}
-		combined = r.contributions[r.active[0]]
-	case cfg.Reduction == ReduceAdasum:
-		combined = r.red.TreeReduce(r.contributions, redLayout)
-	default:
-		combined = r.red.MeanReduce(r.contributions)
+		// simSec is the aborted attempt's elapsed virtual time; the
+		// caller charges it so failures are visible in SimSeconds.
+		return 0, simSec, err
 	}
+	combined := r.contributions[r.active[0]]
 	switch cfg.Scope {
 	case PreOptimizer:
 		r.sharedOpt.Step(r.params, combined, lr)
@@ -869,7 +787,7 @@ func (r *run) hookContributions() [][]float32 {
 	return out
 }
 
-// commEngine bundles the bucketed-reduction substrate of one run: the
+// commEngine bundles the reduction substrate of one run: the
 // simulated cluster whose ranks are the workers, plus one
 // overlap.Engine per rank, all reused across steps. After a failure the
 // substrate is rebuilt over the survivors (rebuild, elastic.go).
@@ -893,12 +811,9 @@ type commEngine struct {
 // value instead.
 type workerPanic struct{ v any }
 
-// newCommEngine builds the substrate for CommCluster, or returns nil
-// for CommHost. The config has already been validated by Run.
+// newCommEngine builds the substrate. The config has already been
+// validated by Start.
 func newCommEngine(cfg Config, layout tensor.Layout) *commEngine {
-	if cfg.Comm == CommHost {
-		return nil
-	}
 	strategy, err := cfg.bucketStrategy()
 	if err != nil {
 		panic("trainer: " + err.Error())

@@ -24,6 +24,7 @@ func baseConfig(train, test *data.Dataset) Config {
 		Workers:    4,
 		Microbatch: 8,
 		Model:      mlpFactory(),
+		PerLayer:   true,
 		Optimizer:  optim.NewSGD(),
 		Schedule:   optim.Constant{Base: 0.5},
 		Train:      train,
@@ -47,7 +48,6 @@ func TestAdasumTrainingConverges(t *testing.T) {
 	train, test := smallData(1)
 	cfg := baseConfig(train, test)
 	cfg.Reduction = ReduceAdasum
-	cfg.PerLayer = true
 	res := Run(cfg)
 	if res.FinalAccuracy < 0.9 {
 		t.Fatalf("adasum training accuracy = %v", res.FinalAccuracy)
@@ -204,7 +204,6 @@ func TestScaledLRSumDivergesWhereAdasumSurvives(t *testing.T) {
 	adaCfg.Microbatch = 32
 	adaCfg.MaxEpochs = 6
 	adaCfg.Reduction = ReduceAdasum
-	adaCfg.PerLayer = true
 	adaCfg.Schedule = optim.Constant{Base: base}
 	adaRes := Run(adaCfg)
 

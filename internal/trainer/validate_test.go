@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/collective"
-	"repro/internal/compress"
 )
 
 // fakeCompression satisfies the Compression interface without being a
@@ -19,13 +18,10 @@ func (fakeCompression) String() string { return "bogus" }
 // descriptive error from Validate (so cmds can report it cleanly)
 // while a valid one passes.
 func TestConfigValidate(t *testing.T) {
-	valid := overlapCfg(4, CommCluster, true)
-	if err := valid.Validate(); err != nil {
-		t.Fatalf("valid cluster config rejected: %v", err)
-	}
-	hostValid := overlapCfg(4, CommHost, false)
-	if err := hostValid.Validate(); err != nil {
-		t.Fatalf("valid host config rejected: %v", err)
+	for _, net := range []testNet{freeNet, tcp40} {
+		if err := overlapCfg(4, net, true).Validate(); err != nil {
+			t.Fatalf("valid config rejected: %v", err)
+		}
 	}
 
 	cases := []struct {
@@ -36,23 +32,10 @@ func TestConfigValidate(t *testing.T) {
 		{"no workers", func(c *Config) { c.Workers = 0 }, "Workers"},
 		{"no model", func(c *Config) { c.Model = nil }, "required"},
 		{"no data", func(c *Config) { c.Train = nil }, "datasets"},
-		{"host compression", func(c *Config) {
-			c.Comm = CommHost
-			c.Overlap = false
-			c.Compression = compress.FP16()
-		}, "no wire"},
-		{"host adaptive compression", func(c *Config) {
-			c.Comm = CommHost
-			c.Overlap = false
-			c.Compression = compress.Adaptive()
-		}, "no wire"},
 		{"foreign compression type", func(c *Config) {
 			c.Compression = fakeCompression{}
 		}, "Codec or a compress.Policy"},
-		{"host overlap", func(c *Config) {
-			c.Comm = CommHost
-			c.Overlap = true
-		}, "no communication to overlap"},
+		{"unknown substrate", func(c *Config) { c.Comm = CommCluster + 1 }, "unknown CommMode"},
 		{"whole-gradient bucketed adasum", func(c *Config) { c.PerLayer = false }, "PerLayer"},
 		{"adasum over ring", func(c *Config) { c.Strategy = collective.StrategyRing }, "ReduceSum combiner"},
 		{"sum over rvh", func(c *Config) {
@@ -61,7 +44,7 @@ func TestConfigValidate(t *testing.T) {
 		}, "StrategyRing"},
 	}
 	for _, tc := range cases {
-		cfg := overlapCfg(4, CommCluster, true)
+		cfg := overlapCfg(4, tcp40, true)
 		tc.mut(&cfg)
 		err := cfg.Validate()
 		if err == nil {
