@@ -301,11 +301,22 @@ func TestHostRunsKeepDigests(t *testing.T) {
 			}
 			res := h.Result()
 			got := runDigest{paramsCRC(res.FinalParams), res.SimSeconds, res.Epochs}
-			if got.crc != tc.want.crc || got.sim != tc.want.sim || !slices.Equal(got.epochs, tc.want.epochs) {
+			if got.crc != tc.want.crc || got.sim != tc.want.sim || !slices.EqualFunc(got.epochs, tc.want.epochs, sameEpoch) {
 				t.Errorf("digest %s, want %s", got, tc.want)
 			}
 		})
 	}
+}
+
+// sameEpoch compares epoch stats exactly, but for TrainLoss: it sums
+// float64 math.Exp and math.Log results, and amd64's assembly Exp and
+// the pure-Go one of other builds differ in a last bit now and then
+// (under GOARCH=386 the tree/4 row's first-epoch loss reads one ulp
+// off, on the host reducer as on the cluster). The float32 gradients
+// round that away, so FinalParams stays bit for bit on every build.
+func sameEpoch(a, b EpochStat) bool {
+	return a.Epoch == b.Epoch && a.Steps == b.Steps && a.TestAccuracy == b.TestAccuracy &&
+		math.Abs(a.TrainLoss-b.TrainLoss) <= 1e-12*math.Abs(b.TrainLoss)
 }
 
 func (d runDigest) String() string {
