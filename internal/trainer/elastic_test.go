@@ -348,6 +348,9 @@ func TestParallelElasticRunsKeepDigests(t *testing.T) {
 		{"shrink/fail-at-0", ShrinkContinue, map[int]float64{2: 0}, "[{0 [2] 7}]", goldenDigest{
 			crc: 3743369843, sim: 0.1455513292857142, acc: 1, wire: 3456000,
 		}},
+		{"shrink/two-failures", ShrinkContinue, map[int]float64{6: 0, 2: 15e-3}, "[{0 [6] 7} {6 [2] 6}]", goldenDigest{
+			crc: 2702191441, sim: 0.14655134428571423, acc: 1, wire: 2934000,
+		}},
 		{"gang-restart", GangRestart, map[int]float64{2: 15e-3}, "[{5 [2] 7}]", goldenDigest{
 			crc: 77601494, sim: 0.1512568591428572, acc: 1, wire: 3566520,
 		}},
