@@ -82,17 +82,6 @@ type State struct {
 	PerWorker []Worker
 }
 
-// Clone returns a deep copy — snapshots handed to user callbacks must
-// not alias live training state.
-func (s *State) Clone() *State {
-	b := s.Marshal()
-	c, err := Unmarshal(b)
-	if err != nil {
-		panic("checkpoint: Clone round-trip failed: " + err.Error())
-	}
-	return c
-}
-
 const (
 	magic = uint32(0x41444B43) // "ADKC"
 	// version 2 added per-worker adaptive-compression policy state.

@@ -88,15 +88,3 @@ func TestUnmarshalRejectsCorruption(t *testing.T) {
 		t.Fatal("trailing bytes accepted")
 	}
 }
-
-// TestCloneIsDeep: mutating a clone must not touch the original.
-func TestCloneIsDeep(t *testing.T) {
-	s := sampleState()
-	c := s.Clone()
-	c.Params[0] = 99
-	c.PerWorker[0].Opt.Vecs[0][0] = 99
-	c.PerWorker[0].Residuals[0][0][0][0] = 99
-	if s.Params[0] == 99 || s.PerWorker[0].Opt.Vecs[0][0] == 99 || s.PerWorker[0].Residuals[0][0][0][0] == 99 {
-		t.Fatal("Clone shares storage with the original")
-	}
-}

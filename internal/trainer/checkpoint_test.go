@@ -47,6 +47,19 @@ func ckCfg(scope Scope, net testNet, overlap bool, codec compress.Compression) C
 	return cfg
 }
 
+// snapshotAt steps a run of cfg to step k and snapshots it there, the
+// way the serving layer checkpoints a run it drives.
+func snapshotAt(t *testing.T, cfg Config, k int) *checkpoint.State {
+	t.Helper()
+	h := Start(cfg)
+	for h.CompletedSteps() < k && h.Step() {
+	}
+	if got := h.CompletedSteps(); got != k {
+		t.Fatalf("run finished at step %d, before the snapshot at %d", got, k)
+	}
+	return h.Snapshot()
+}
+
 // TestResumeIsBitwiseIdentical is the checkpoint/resume acceptance
 // property: for every Scope × network × codec combination — including
 // top-k with error feedback, whose residuals a naive checkpoint would
@@ -97,18 +110,7 @@ func TestResumeIsBitwiseIdentical(t *testing.T) {
 			// Capture a mid-epoch snapshot (step 13 of 16 per epoch),
 			// forcing it through the wire format so the serialization is
 			// part of the property.
-			var blob []byte
-			capCfg := ckCfg(tc.scope, tc.net, tc.overlap, tc.codec)
-			capCfg.CheckpointEverySteps = 13
-			capCfg.OnCheckpoint = func(s *checkpoint.State) {
-				if s.Step == 13 {
-					blob = s.Marshal()
-				}
-			}
-			Run(capCfg)
-			if blob == nil {
-				t.Fatal("no checkpoint captured at step 13")
-			}
+			blob := snapshotAt(t, ckCfg(tc.scope, tc.net, tc.overlap, tc.codec), 13).Marshal()
 			state, err := checkpoint.Unmarshal(blob)
 			if err != nil {
 				t.Fatalf("unmarshal: %v", err)
@@ -161,17 +163,8 @@ func TestResumeUnderFaultsKeepsTimeline(t *testing.T) {
 	}
 	uninterrupted := Run(mk())
 
-	var state *checkpoint.State
-	capCfg := mk()
-	capCfg.CheckpointEverySteps = 7
-	capCfg.OnCheckpoint = func(s *checkpoint.State) {
-		if s.Step == 7 {
-			state = s
-		}
-	}
-	Run(capCfg)
 	resCfg := mk()
-	resCfg.Resume = state
+	resCfg.Resume = snapshotAt(t, mk(), 7)
 	resumed := Run(resCfg)
 	if resumed.SimSeconds != uninterrupted.SimSeconds {
 		t.Fatalf("jittered timeline diverged after resume: %v != %v", resumed.SimSeconds, uninterrupted.SimSeconds)
@@ -204,12 +197,7 @@ func TestResumeRejectsWorkerMismatch(t *testing.T) {
 // legal.
 func TestResumeRejectsMismatchedOptimizerState(t *testing.T) {
 	for _, scope := range []Scope{PreOptimizer, PostOptimizer} {
-		cfg := ckCfg(scope, tcp40, true, nil)
-		h := Start(cfg)
-		for h.CompletedSteps() < 3 {
-			h.Step()
-		}
-		blob := h.Snapshot().Marshal()
+		blob := snapshotAt(t, ckCfg(scope, tcp40, true, nil), 3).Marshal()
 
 		// resume round-trips a doctored snapshot through the wire format
 		// and reports the panic of Start, if any.

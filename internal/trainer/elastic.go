@@ -16,6 +16,10 @@
 // are skipped by Split, and the resulting group rebinds each survivor's
 // overlap engine. The dataset is re-sharded over the survivors with the
 // existing data.Shard.
+//
+// A failure is absorbed by shrinking, never by rewinding: the step loop
+// takes no checkpoints of its own. The snapshot and restore here serve
+// whoever drives the Handle (Handle.Snapshot, Config.Resume).
 package trainer
 
 import (
@@ -44,21 +48,12 @@ const (
 	// step from the current in-memory state — no work before the
 	// failure is lost.
 	ShrinkContinue
-	// GangRestart additionally rewinds to the last checkpoint before
-	// continuing on the survivors: parameters, optimizer state and
-	// error-feedback residuals restart from the snapshot (requires
-	// CheckpointEverySteps > 0). The steps since the checkpoint are
-	// replayed — the classic checkpoint/restart discipline, here
-	// without losing the process gang.
-	GangRestart
 )
 
 func (p FailurePolicy) String() string {
 	switch p {
 	case ShrinkContinue:
 		return "shrink-continue"
-	case GangRestart:
-		return "gang-restart"
 	default:
 		return "fail-stop"
 	}
@@ -107,8 +102,8 @@ type efBackup struct {
 // buckets against the slot residuals (and, adaptively, advanced the
 // policies), and without a rollback the retry would re-apply the
 // dropped error of a gradient that was never transmitted and re-decide
-// from post-attempt state. GangRestart rewinds from the checkpoint
-// instead, and FailStop never retries, so both skip the copy.
+// from post-attempt state. FailStop never retries, so it skips the
+// copy.
 func (r *run) efSnapshot() *efBackup {
 	if r.cfg.OnFailure != ShrinkContinue {
 		return nil
@@ -183,22 +178,6 @@ func (r *run) handleFailure(err *comm.RunError) {
 		w.shard = r.cfg.Train.Shard(i, len(r.active))
 		w.iter = data.NewIterator(w.shard.N, r.cfg.Microbatch, r.cfg.Seed+1000+int64(rank))
 	}
-
-	if r.cfg.OnFailure == GangRestart {
-		if r.lastCk == nil {
-			panic("trainer: GangRestart with no checkpoint captured")
-		}
-		// The rewind restores the checkpoint's SimSeconds, but the time
-		// since then — the replayed steps plus the aborted attempt — was
-		// really spent: keep it on the timeline so a gang restart's
-		// failure cost (lost progress re-run on fewer workers) is
-		// visible, not silently erased.
-		wasted := r.res.SimSeconds - r.lastCk.SimSeconds
-		r.applyState(r.lastCk, true)
-		if wasted > 0 {
-			r.res.SimSeconds += wasted
-		}
-	}
 }
 
 // rebuild resets the world after a failure and reconstructs the
@@ -230,43 +209,35 @@ func (ce *commEngine) rebuild(active []int) collective.Group {
 
 // ------------------------------------------------------------ snapshots
 
-// restoreOrInit applies cfg.Resume if present and seeds the internal
-// gang-restart checkpoint so a failure before the first scheduled
-// capture still has a restart point.
-func (r *run) restoreOrInit() {
-	if ck := r.cfg.Resume; ck != nil {
-		if len(ck.Params) != len(r.params) {
-			panic(fmt.Sprintf("trainer: Resume snapshot has %d params, model has %d", len(ck.Params), len(r.params)))
-		}
-		// Optimizer state rides the blob too: a vector that is not
-		// exactly model-sized would walk off its end (or be silently
-		// half-used) in the next Step.
-		if i := misfitVec(ck.Shared, len(r.params)); i >= 0 {
-			panic(fmt.Sprintf("trainer: Resume snapshot's shared optimizer vector %d has %d values, model has %d params", i, len(ck.Shared.Vecs[i]), len(r.params)))
-		}
-		for rank, pw := range ck.PerWorker {
-			if i := misfitVec(pw.Opt, len(r.params)); i >= 0 {
-				panic(fmt.Sprintf("trainer: Resume snapshot's worker %d optimizer vector %d has %d values, model has %d params", rank, i, len(pw.Opt.Vecs[i]), len(r.params)))
-			}
-		}
-		if int(ck.Step) > r.cfg.MaxEpochs*r.stepsPerEpoch && !r.cfg.ReshapeResume {
-			// Under ReshapeResume this is legitimate: a job migrated up
-			// from a smaller gang (whose per-epoch step budget was
-			// larger) may already have run more steps than this gang
-			// size prescribes. The run restores and is immediately done.
-			panic(fmt.Sprintf("trainer: Resume snapshot at step %d is past this config's %d-step budget", ck.Step, r.cfg.MaxEpochs*r.stepsPerEpoch))
-		}
-		// A ReshapeResume onto a different-sized gang is a migration, not
-		// a replay: it takes the same reshape-safe restore path as a
-		// gang-restart rebuild (fresh iterators over the re-cut shards,
-		// source-only residuals). Equal sizes restore bitwise.
-		r.applyState(ck, ck.Workers != len(r.workers))
-		r.lastCk = ck
-		return
+// resume applies a Resume snapshot after checking that it fits this
+// run's model and step budget.
+func (r *run) resume(ck *checkpoint.State) {
+	if len(ck.Params) != len(r.params) {
+		panic(fmt.Sprintf("trainer: Resume snapshot has %d params, model has %d", len(ck.Params), len(r.params)))
 	}
-	if r.cfg.OnFailure == GangRestart {
-		r.lastCk = r.snapshot()
+	// Optimizer state rides the blob too: a vector that is not
+	// exactly model-sized would walk off its end (or be silently
+	// half-used) in the next Step.
+	if i := misfitVec(ck.Shared, len(r.params)); i >= 0 {
+		panic(fmt.Sprintf("trainer: Resume snapshot's shared optimizer vector %d has %d values, model has %d params", i, len(ck.Shared.Vecs[i]), len(r.params)))
 	}
+	for rank, pw := range ck.PerWorker {
+		if i := misfitVec(pw.Opt, len(r.params)); i >= 0 {
+			panic(fmt.Sprintf("trainer: Resume snapshot's worker %d optimizer vector %d has %d values, model has %d params", rank, i, len(pw.Opt.Vecs[i]), len(r.params)))
+		}
+	}
+	if int(ck.Step) > r.cfg.MaxEpochs*r.stepsPerEpoch && !r.cfg.ReshapeResume {
+		// Under ReshapeResume this is legitimate: a job migrated up
+		// from a smaller gang (whose per-epoch step budget was
+		// larger) may already have run more steps than this gang
+		// size prescribes. The run restores and is immediately done.
+		panic(fmt.Sprintf("trainer: Resume snapshot at step %d is past this config's %d-step budget", ck.Step, r.cfg.MaxEpochs*r.stepsPerEpoch))
+	}
+	// A ReshapeResume onto a different-sized gang is a migration, not
+	// a replay: it takes the reshape-safe restore path (fresh
+	// iterators over the re-cut shards, source-only residuals). Equal
+	// sizes restore bitwise.
+	r.applyState(ck, ck.Workers != len(r.workers))
 }
 
 // misfitVec returns the index of the first vector of st that is
@@ -311,29 +282,12 @@ func (r *run) snapshot() *checkpoint.State {
 	return ck
 }
 
-// capture records a checkpoint when one is due at the current step.
-func (r *run) capture() {
-	cfg := r.cfg
-	if cfg.CheckpointEverySteps <= 0 || r.step%cfg.CheckpointEverySteps != 0 {
-		return
-	}
-	ck := r.snapshot()
-	r.lastCk = ck
-	if cfg.OnCheckpoint != nil {
-		// The callback gets its own deep copy: a caller mutating (or
-		// serializing in place) must not be able to corrupt the
-		// internal gang-restart state.
-		cfg.OnCheckpoint(ck.Clone())
-	}
-}
-
 // applyState restores training state from a snapshot. afterReshape
-// marks a restore onto a gang of a different shape — a gang-restart
-// rewind onto the just-shrunk survivors, or a ReshapeResume migration
-// onto a resized gang: data iterators are not rewound (the shards were
-// re-cut, so each worker restarts its new shard stream) and only the
-// reshape-safe error-feedback residuals are re-applied; a plain resume
-// restores everything bitwise. A grown gang's extra ranks have no
+// marks a ReshapeResume migration onto a gang of a different size: data
+// iterators are not rewound (the shards were re-cut, so each worker
+// restarts its new shard stream) and only the reshape-safe
+// error-feedback residuals are re-applied; a plain resume restores
+// everything bitwise. A grown gang's extra ranks have no
 // counterpart in the snapshot and keep their fresh-clone state.
 func (r *run) applyState(ck *checkpoint.State, afterReshape bool) {
 	r.master.SetParams(ck.Params)
@@ -369,9 +323,4 @@ func (r *run) applyState(ck *checkpoint.State, afterReshape bool) {
 	r.res.Converged = ck.Converged
 	r.res.EpochsToTarget = int(ck.EpochsToTarget)
 	r.res.StepsToTarget = int(ck.StepsToTarget)
-	// A rewind drops epoch stats recorded past the restore point; they
-	// will be re-recorded as the steps replay.
-	for len(r.res.Epochs) > 0 && r.res.Epochs[len(r.res.Epochs)-1].Steps > r.step {
-		r.res.Epochs = r.res.Epochs[:len(r.res.Epochs)-1]
-	}
 }

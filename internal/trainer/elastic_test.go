@@ -115,32 +115,6 @@ func TestElasticFailStopReRaisesWithRankContext(t *testing.T) {
 	Run(cfg)
 }
 
-// TestGangRestartRewindsToCheckpoint: under GangRestart the run rewinds
-// to the last snapshot on failure and replays on the survivors; the run
-// must complete with the shrunk gang and intact epoch accounting.
-func TestGangRestartRewindsToCheckpoint(t *testing.T) {
-	cfg := elasticCfg(8)
-	cfg.Net = simnet.TCP40Racked(8, 2)
-	cfg.OnFailure = GangRestart
-	cfg.CheckpointEverySteps = 4
-	cfg.Net.Faults = &simnet.Faults{FailAtSeconds: map[int]float64{2: 15e-3}}
-	res := Run(cfg)
-	if len(res.Failures) != 1 || res.FinalWorkers != 7 {
-		t.Fatalf("failures %v / final workers %d, want one failure and 7 survivors", res.Failures, res.FinalWorkers)
-	}
-	if res.FinalAccuracy < 0.9 {
-		t.Fatalf("gang-restarted run failed to keep converging: %v", res.FinalAccuracy)
-	}
-	if len(res.Epochs) != cfg.MaxEpochs {
-		t.Fatalf("epochs recorded = %d, want %d (rewind must not duplicate or drop epochs)", len(res.Epochs), cfg.MaxEpochs)
-	}
-	for i := 1; i < len(res.Epochs); i++ {
-		if res.Epochs[i].Epoch != res.Epochs[i-1].Epoch+1 {
-			t.Fatalf("epoch sequence corrupted by the rewind: %+v", res.Epochs)
-		}
-	}
-}
-
 // TestStragglerStretchesSimTime: a skewed rank must make the simulated
 // run slower without changing the result (compute skew moves clocks,
 // never floats).
@@ -209,23 +183,12 @@ func TestCrossingStopsAtStepGranularity(t *testing.T) {
 }
 
 // TestValidateElasticKnobs covers the elastic-specific validation:
-// gang restart needs a checkpoint cadence, hierarchy widths must divide
-// the workers, and a resume snapshot must match the worker count.
+// hierarchy widths must divide the workers.
 func TestValidateElasticKnobs(t *testing.T) {
 	cfg := elasticCfg(8)
 	cfg.Net = simnet.TCP40Racked(8, 2)
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("valid elastic config rejected: %v", err)
-	}
-
-	gr := cfg
-	gr.OnFailure = GangRestart
-	if err := gr.Validate(); err == nil || !strings.Contains(err.Error(), "CheckpointEverySteps") {
-		t.Fatalf("GangRestart without checkpoints: %v", err)
-	}
-	gr.CheckpointEverySteps = 5
-	if err := gr.Validate(); err != nil {
-		t.Fatalf("valid GangRestart config rejected: %v", err)
 	}
 
 	h := cfg
@@ -326,36 +289,30 @@ func TestHierarchicalRVHNonP2Workers(t *testing.T) {
 	}
 }
 
-// TestParallelElasticRunsKeepDigests reruns the ShrinkContinue and
-// GangRestart scenarios with Parallel set, so each worker step runs in
-// its rank body, including a rank whose deadline is already due when the
-// first step starts: it dies before its body runs. Each run must match
-// the serial step loop bit for bit, and both must match a digest
-// recorded when every Parallel worker was still fanned out from the
-// calling goroutine, which stepped all of them, the doomed rank included, before
-// the reduce.
+// TestParallelElasticRunsKeepDigests reruns the ShrinkContinue
+// scenarios with Parallel set, so each worker step runs in its rank
+// body. In two of them a rank's deadline is already due when the first
+// step starts, so it dies before its body runs; the last one then loses
+// a second rank after the first rebuild. Each run must match the serial
+// step loop bit for bit, and both must match a recorded digest. The
+// first two were recorded when every Parallel worker was still fanned
+// out from the calling goroutine, which stepped all of them, the doomed
+// rank included, before the reduce.
 func TestParallelElasticRunsKeepDigests(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
-		policy   FailurePolicy
 		failAt   map[int]float64
 		failures string
 		want     goldenDigest
 	}{
-		{"shrink", ShrinkContinue, map[int]float64{5: 12e-3}, "[{4 [5] 7}]", goldenDigest{
+		{"shrink", map[int]float64{5: 12e-3}, "[{4 [5] 7}]", goldenDigest{
 			crc: 1912752569, sim: 0.14830886174285712, acc: 1, wire: 3501216,
 		}},
-		{"shrink/fail-at-0", ShrinkContinue, map[int]float64{2: 0}, "[{0 [2] 7}]", goldenDigest{
+		{"shrink/fail-at-0", map[int]float64{2: 0}, "[{0 [2] 7}]", goldenDigest{
 			crc: 3743369843, sim: 0.1455513292857142, acc: 1, wire: 3456000,
 		}},
-		{"shrink/two-failures", ShrinkContinue, map[int]float64{6: 0, 2: 15e-3}, "[{0 [6] 7} {6 [2] 6}]", goldenDigest{
+		{"shrink/two-failures", map[int]float64{6: 0, 2: 15e-3}, "[{0 [6] 7} {6 [2] 6}]", goldenDigest{
 			crc: 2702191441, sim: 0.14655134428571423, acc: 1, wire: 2934000,
-		}},
-		{"gang-restart", GangRestart, map[int]float64{2: 15e-3}, "[{5 [2] 7}]", goldenDigest{
-			crc: 77601494, sim: 0.1512568591428572, acc: 1, wire: 3566520,
-		}},
-		{"gang-restart/fail-at-0", GangRestart, map[int]float64{6: 0, 2: 15e-3}, "[{0 [6] 7} {6 [2] 6}]", goldenDigest{
-			crc: 980430030, sim: 0.1510685728571429, acc: 1, wire: 3024000,
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -364,10 +321,7 @@ func TestParallelElasticRunsKeepDigests(t *testing.T) {
 				cfg.MaxEpochs = 2
 				cfg.Net = simnet.TCP40Racked(8, 2)
 				cfg.Net.Faults = &simnet.Faults{FailAtSeconds: tc.failAt}
-				cfg.OnFailure = tc.policy
-				if tc.policy == GangRestart {
-					cfg.CheckpointEverySteps = 4
-				}
+				cfg.OnFailure = ShrinkContinue
 				cfg.Parallel = parallel
 				h := Start(cfg)
 				for h.Step() {

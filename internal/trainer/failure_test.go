@@ -101,14 +101,11 @@ func (l *panicLayer) Forward(x []float32, batch int) []float32 {
 // failure policy, and no elastic policy may shrink the gang over it.
 func TestWorkerPanicReRaisesUnderEveryPolicy(t *testing.T) {
 	const k = 5 // the step (0-based) whose worker step panics
-	for _, policy := range []FailurePolicy{FailStop, ShrinkContinue, GangRestart} {
+	for _, policy := range []FailurePolicy{FailStop, ShrinkContinue} {
 		for _, parallel := range []bool{false, true} {
 			cfg := elasticCfg(8)
 			cfg.Net = simnet.TCP40Racked(8, 2)
 			cfg.OnFailure = policy
-			if policy == GangRestart {
-				cfg.CheckpointEverySteps = 2
-			}
 			cfg.Parallel = parallel
 			replicas := 0
 			cfg.Model = func() *nn.Network {

@@ -56,10 +56,9 @@ func TestWorkersShareMasterParams(t *testing.T) {
 }
 
 // expectSharingSurvivesRestores walks a run of the given scope through
-// the five paths that build or restore its state — Start and Step,
-// a ShrinkContinue rebuild, a GangRestart rewind, Resume, and
-// ReshapeResume onto a smaller gang — and checks that every worker reads
-// the master's vector after each.
+// the four paths that build or restore its state — Start and Step, a
+// ShrinkContinue rebuild, Resume, and ReshapeResume onto a smaller gang
+// — and checks that every worker reads the master's vector after each.
 func expectSharingSurvivesRestores(t *testing.T, scope Scope) {
 	base := func() Config {
 		cfg := elasticCfg(8)
@@ -96,14 +95,6 @@ func expectSharingSurvivesRestores(t *testing.T, scope Scope) {
 	}
 	expectWorkersShareMaster(t, "after a ShrinkContinue rebuild", h)
 
-	cfg = base()
-	cfg.OnFailure = GangRestart
-	cfg.CheckpointEverySteps = 4
-	cfg.Net.Faults = &simnet.Faults{FailAtSeconds: map[int]float64{2: 15e-3}}
-	h = Start(cfg)
-	stepUntilFailure(t, h)
-	expectWorkersShareMaster(t, "after a GangRestart", h)
-
 	resume := func(what string, workers int, ck *checkpoint.State) {
 		cfg := base()
 		cfg.Workers = workers
@@ -119,8 +110,8 @@ func expectSharingSurvivesRestores(t *testing.T, scope Scope) {
 		h.Step()
 		expectWorkersShareMaster(t, what+" + one Step", h)
 	}
-	resume("after Resume", 8, ck.Clone())
-	resume("after ReshapeResume onto 4 workers", 4, ck.Clone())
+	resume("after Resume", 8, ck)
+	resume("after ReshapeResume onto 4 workers", 4, ck)
 }
 
 // oldPostOptimizerGlue is the post-optimizer branch of runWorker as it

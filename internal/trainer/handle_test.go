@@ -63,11 +63,11 @@ func TestHandleStepwiseMatchesRun(t *testing.T) {
 
 // TestHandleSnapshotResumeBitwise is the preemption protocol at trainer
 // granularity: a run stepped partway, snapshotted at a step boundary
-// (no CheckpointEverySteps involved — the serving layer snapshots at
-// preemption time, not on a schedule), serialized, and resumed in a
-// fresh handle of the same size must land bitwise on the uninterrupted
-// run's FinalParams, including under top-k error feedback and the
-// adaptive policy whose residual/decision state ride the snapshot.
+// (the serving layer snapshots at preemption time), serialized, and
+// resumed in a fresh handle of the same size must land bitwise on the
+// uninterrupted run's FinalParams, including under top-k error feedback
+// and the adaptive policy whose residual/decision state ride the
+// snapshot.
 func TestHandleSnapshotResumeBitwise(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -133,7 +133,7 @@ func TestReshapeResumeMigratesAcrossGangSizes(t *testing.T) {
 	// Same size + flag: still bitwise against the uninterrupted run.
 	whole := Run(base())
 	cfg := base()
-	cfg.Resume, cfg.ReshapeResume = ck.Clone(), true
+	cfg.Resume, cfg.ReshapeResume = ck, true
 	same := Run(cfg)
 	for i, v := range whole.FinalParams {
 		if same.FinalParams[i] != v {
@@ -145,7 +145,7 @@ func TestReshapeResumeMigratesAcrossGangSizes(t *testing.T) {
 	for _, workers := range []int{2, 8} {
 		cfg := base()
 		cfg.Workers = workers
-		cfg.Resume, cfg.ReshapeResume = ck.Clone(), true
+		cfg.Resume, cfg.ReshapeResume = ck, true
 		if err := cfg.Validate(); err != nil {
 			t.Fatalf("reshape config invalid: %v", err)
 		}
@@ -164,7 +164,7 @@ func TestReshapeResumeMigratesAcrossGangSizes(t *testing.T) {
 	// Without the flag a size mismatch is still rejected.
 	bad := base()
 	bad.Workers = 2
-	bad.Resume = ck.Clone()
+	bad.Resume = ck
 	if err := bad.Validate(); err == nil {
 		t.Fatal("size-mismatched Resume without ReshapeResume validated")
 	}

@@ -21,12 +21,12 @@
 //
 // Every run steps on one substrate, a simulated cluster whose ranks are
 // the workers (a nil Config.Net makes its network free). The harness is
-// elastic: injected stragglers
-// stretch simulated step time without touching the floats, a rank
-// failure is absorbed by the OnFailure policy (shrink-and-continue or
-// gang-restart on the survivors — see elastic.go), and
-// CheckpointEverySteps/Resume give deterministic checkpoint/restart
-// whose resumed runs are bitwise-identical to uninterrupted ones.
+// elastic: injected stragglers stretch simulated step time without
+// touching the floats, and a rank failure is absorbed by the OnFailure
+// policy (shrink-and-continue on the survivors — see elastic.go). A run
+// is checkpointed only by whoever drives its Handle: Handle.Snapshot
+// captures the state at a step boundary and Config.Resume restarts from
+// it, bitwise-identically to a run that was never interrupted.
 package trainer
 
 import (
@@ -166,26 +166,19 @@ type Config struct {
 
 	// OnFailure selects the reaction to a rank failure — injected through
 	// Net.Faults.FailAtSeconds, or a panic inside a rank's reduction. The
-	// zero value FailStop re-raises the failure; the elastic policies
-	// rebuild on the survivors and keep training. See FailurePolicy. A
-	// panic in a worker step is a bug, not a rank failure: Handle.Step
-	// re-raises it under every policy.
+	// zero value FailStop re-raises the failure; ShrinkContinue rebuilds
+	// on the survivors and keeps training. See FailurePolicy. A panic in
+	// a worker step is a bug, not a rank failure: Handle.Step re-raises
+	// it under every policy.
 	OnFailure FailurePolicy
-	// CheckpointEverySteps > 0 captures a full training snapshot every n
-	// reduction steps; OnCheckpoint (when set) receives each one.
-	// GangRestart requires this, and keeps the latest snapshot
-	// internally either way.
-	CheckpointEverySteps int
-	// OnCheckpoint observes each captured snapshot. The state is a deep
-	// copy — the caller may serialize (checkpoint.State.Marshal) or
-	// retain it freely.
-	OnCheckpoint func(*checkpoint.State)
-	// Resume restores the run from a snapshot before the first step:
-	// parameters, every worker's optimizer state and data-iterator
-	// position, error-feedback residuals and the loop bookkeeping, so
-	// the resumed run is bitwise-identical to one that was never
-	// interrupted. Worker count and model shape must match the capturing
-	// run unless ReshapeResume permits a resize.
+	// Resume restores the run from a Handle.Snapshot (or its
+	// Marshal/Unmarshal round trip) before the first step: parameters,
+	// every worker's optimizer state and data-iterator position,
+	// error-feedback residuals and the loop bookkeeping, so the resumed
+	// run is bitwise-identical to one that was never interrupted. Start
+	// copies out of the snapshot and never writes into it. Worker count
+	// and model shape must match the capturing run unless ReshapeResume
+	// permits a resize.
 	Resume *checkpoint.State
 	// ReshapeResume permits Resume onto a gang of a different size — the
 	// serving layer's preempt-migrate path. Parameters, the shared
@@ -290,7 +283,7 @@ type Result struct {
 // steps per reduction (LocalSteps > 1 outside PreOptimizer), so every
 // other replica owns none: its layers are bound to the master's vector
 // (nn.Network.ShareParams), which every restore path — Resume,
-// ReshapeResume, GangRestart — copies into rather than replaces. A
+// ReshapeResume — copies into rather than replaces. A
 // post-optimizer worker with one local step steps its optimizer on a
 // copy in its contribution buffer instead.
 type worker struct {
@@ -363,10 +356,6 @@ func (c Config) Validate() error {
 	}
 	switch c.OnFailure {
 	case FailStop, ShrinkContinue:
-	case GangRestart:
-		if c.CheckpointEverySteps <= 0 {
-			return fmt.Errorf("GangRestart requires CheckpointEverySteps > 0 (there is nothing to restart from)")
-		}
 	default:
 		return fmt.Errorf("unknown FailurePolicy %d", c.OnFailure)
 	}
@@ -415,8 +404,9 @@ func Run(cfg Config) *Result {
 // (absorbing failures per OnFailure); Snapshot captures a full
 // checkpoint at the current step boundary, which a later Start can
 // Resume — on the same gang size bitwise-identically, or onto a
-// different-sized gang with ReshapeResume. A Handle is not safe for
-// concurrent use.
+// different-sized gang with ReshapeResume. Snapshot is the only way a
+// run is checkpointed: the step loop never snapshots itself. A Handle
+// is not safe for concurrent use.
 type Handle struct {
 	r     *run
 	total int // the run's step budget (MaxEpochs * stepsPerEpoch)
@@ -433,7 +423,9 @@ func Start(cfg Config) *Handle {
 		cfg.LocalSteps = 1
 	}
 	r := newRun(cfg)
-	r.restoreOrInit()
+	if cfg.Resume != nil {
+		r.resume(cfg.Resume)
+	}
 	return &Handle{r: r, total: cfg.MaxEpochs * r.stepsPerEpoch}
 }
 
@@ -451,9 +443,6 @@ func (h *Handle) Step() bool {
 	r.step++
 	r.lossSum += loss
 	r.res.SimSeconds += simSec
-	// The epoch is derived after the step completes: elasticStep may
-	// have rewound r.step (GangRestart), so a value computed before it
-	// would label the retried steps with the pre-rewind epoch.
 	if r.afterStep((r.step-1)/r.stepsPerEpoch+1) || r.step >= h.total {
 		h.done = true
 	}
@@ -506,7 +495,7 @@ func (h *Handle) Result() *Result {
 // replica, the (possibly shrinking) worker gang, the reduction
 // substrate and the result being accumulated. The step loop lives here;
 // the elastic machinery — failure absorption, survivor rebuild,
-// checkpoint capture and restore — lives in elastic.go.
+// snapshot and restore — lives in elastic.go.
 type run struct {
 	cfg    Config
 	master *nn.Network
@@ -536,7 +525,6 @@ type run struct {
 	stepsPerEpoch int
 	step          int     // completed reduction steps
 	lossSum       float64 // current epoch's loss accumulator
-	lastCk        *checkpoint.State
 }
 
 func newRun(cfg Config) *run {
@@ -603,12 +591,11 @@ func newRun(cfg Config) *run {
 // The step loop itself lives on Handle.Step. Epochs are bookkeeping
 // over a fixed per-epoch step budget (they do not re-derive from the
 // surviving worker count after a shrink), which keeps epoch numbering
-// comparable across runs with and without failures, and lets
-// GangRestart rewind the step counter without nested-loop gymnastics.
+// comparable across runs with and without failures.
 
 // afterStep runs the bookkeeping after completed step r.step —
-// eval-every-steps convergence, epoch-boundary stats, checkpoint
-// capture — and reports whether the run is done.
+// eval-every-steps convergence and epoch-boundary stats — and reports
+// whether the run is done.
 func (r *run) afterStep(epoch int) (stop bool) {
 	cfg := r.cfg
 	if cfg.EvalEverySteps > 0 && cfg.TargetAccuracy > 0 && r.step%cfg.EvalEverySteps == 0 {
@@ -642,7 +629,6 @@ func (r *run) afterStep(epoch int) (stop bool) {
 			return true
 		}
 	}
-	r.capture()
 	return false
 }
 
