@@ -88,9 +88,14 @@ func main() {
 		fatal("unknown optimizer %q", *optName)
 	}
 
-	red := trainer.ReduceAdasum
-	if *reduction == "sum" {
+	var red trainer.Reduction
+	switch *reduction {
+	case "adasum":
+		red = trainer.ReduceAdasum
+	case "sum":
 		red = trainer.ReduceSum
+	default:
+		fatal("unknown reduction %q", *reduction)
 	}
 	var sc trainer.Scope
 	switch *scope {
