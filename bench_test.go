@@ -9,6 +9,7 @@ import (
 	"repro/internal/collective"
 	"repro/internal/comm"
 	"repro/internal/compress"
+	"repro/internal/data"
 	"repro/internal/float16"
 	"repro/internal/nn"
 	"repro/internal/optim"
@@ -378,4 +379,53 @@ func BenchmarkAblationTreeVsLinear(b *testing.B) {
 			_ = adasum.LinearReduce(grads, layout)
 		}
 	})
+}
+
+// randConstructors are the two ways to build the same seeded generator:
+// data.NewRand (jump-ahead seeding) and math/rand's own.
+var randConstructors = []struct {
+	name string
+	new  func(seed int64) *rand.Rand
+}{
+	{"data.NewRand", data.NewRand},
+	{"math-rand", func(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }},
+}
+
+// BenchmarkNewRand times building one seeded generator, the cost every
+// trainer.Start pays once per worker plus once for the model.
+func BenchmarkNewRand(b *testing.B) {
+	for _, c := range randConstructors {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if c.new(int64(i)) == nil {
+					b.Fatal("nil generator")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkRandDraw times one Int63 and one NormFloat64 draw from each
+// generator: data.NewRand seeds eagerly so that its draws cost what
+// math/rand's do.
+func BenchmarkRandDraw(b *testing.B) {
+	var sink int64
+	for _, c := range randConstructors {
+		b.Run(c.name+"/Int63", func(b *testing.B) {
+			rng := c.new(1)
+			for i := 0; i < b.N; i++ {
+				sink += rng.Int63()
+			}
+		})
+		b.Run(c.name+"/NormFloat64", func(b *testing.B) {
+			rng := c.new(1)
+			for i := 0; i < b.N; i++ {
+				sink += int64(rng.NormFloat64())
+			}
+		})
+	}
+	if sink == 1 {
+		b.Log(sink)
+	}
 }

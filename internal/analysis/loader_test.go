@@ -117,6 +117,7 @@ var keptExports = map[string]string{
 	"optim.Adam.StateSize":     "implements optim.Optimizer",
 	"optim.LARS.StateSize":     "implements optim.Optimizer",
 	"optim.LAMB.StateSize":     "implements optim.Optimizer",
+	"data.source.Int63":        "implements rand.Source; only math/rand calls it",
 
 	"experiments.AdaptiveResult.BestStatic":            "claim predicate: the adaptive-policy shape test",
 	"experiments.AdaptiveResult.Adaptive":              "claim predicate: the adaptive-policy shape test",

@@ -96,7 +96,7 @@ type Config struct {
 // prototypes. The test set has no label noise (evaluation is against
 // clean labels, like validating on the real test split).
 func GeneratePair(cfg Config, testN int) (train, test *Dataset) {
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := NewRand(cfg.Seed)
 	protos := prototypes(rng, cfg.Classes, cfg.Dim)
 	train = sampleFrom(rng, protos, cfg)
 	testCfg := cfg
@@ -210,7 +210,7 @@ func NewIterator(n, batch int, seed int64) *Iterator {
 	if batch <= 0 || n <= 0 {
 		panic("data: iterator needs positive n and batch")
 	}
-	it := &Iterator{n: n, batch: batch, seed: seed, rng: rand.New(rand.NewSource(seed))}
+	it := &Iterator{n: n, batch: batch, seed: seed, rng: NewRand(seed)}
 	it.reshuffle()
 	return it
 }
@@ -250,7 +250,7 @@ func (it *Iterator) Restore(reshuffles int64, cursor int) {
 	if cursor < 0 || cursor > it.n {
 		panic(fmt.Sprintf("data: Restore cursor %d outside [0,%d]", cursor, it.n))
 	}
-	it.rng = rand.New(rand.NewSource(it.seed))
+	it.rng = NewRand(it.seed)
 	it.reshuffles = 0
 	for i := int64(0); i < reshuffles; i++ {
 		it.reshuffle()

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"math/rand"
 
 	"repro/internal/adasum"
 	"repro/internal/data"
@@ -57,7 +56,7 @@ func RunFig2(scale Scale) *Fig2Result {
 	}, 512)
 
 	m := newSoftmaxModel(cfg.Dim, cfg.Classes)
-	rng := rand.New(rand.NewSource(22))
+	rng := data.NewRand(22)
 	for i := range m.w {
 		m.w[i] = float32(rng.NormFloat64() * 0.01)
 	}

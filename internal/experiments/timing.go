@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/collective"
 	"repro/internal/comm"
+	"repro/internal/data"
 	"repro/internal/overlap"
 	"repro/internal/simnet"
 	"repro/internal/tensor"
@@ -112,7 +113,7 @@ func engineGang(w *comm.World, opts overlap.Options, seedBase int64, draw func(*
 	xs := make([][]float32, w.Size())
 	for r := range engines {
 		engines[r] = overlap.New(opts)
-		rng := rand.New(rand.NewSource(seedBase + int64(r)))
+		rng := data.NewRand(seedBase + int64(r))
 		xs[r] = make([]float32, opts.Layout.TotalSize())
 		for i := range xs[r] {
 			xs[r][i] = draw(rng)

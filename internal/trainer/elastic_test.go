@@ -235,7 +235,7 @@ func TestFailureChargesSimTime(t *testing.T) {
 	cfg.Net.Faults = &simnet.Faults{FailAtSeconds: map[int]float64{3: 0.5e-3}}
 	cfg.LocalSteps = 1 // Run's default; this test drives the engine directly
 	master := cfg.Model()
-	master.Init(newRNG(cfg.Seed))
+	master.Init(data.NewRand(cfg.Seed))
 	ce := newCommEngine(cfg, master.Layout())
 	contribs := make([][]float32, cfg.Workers)
 	active := make([]int, cfg.Workers)

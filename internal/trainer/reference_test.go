@@ -21,7 +21,7 @@ import (
 // holding the gradient of that worker's first microbatch.
 func firstStep(cfg Config) (start []float32, nets []*nn.Network) {
 	proto := cfg.Model()
-	proto.Init(newRNG(cfg.Seed))
+	proto.Init(data.NewRand(cfg.Seed))
 	start = tensor.Clone(proto.Params())
 	for w := 0; w < cfg.Workers; w++ {
 		net := cfg.Model()
@@ -133,7 +133,7 @@ func TestTrainerMatchesDistributedLoop(t *testing.T) {
 	// Path 2: a per-rank loop with the same iterator seeds and the same
 	// starting model.
 	seedNet := mkNet()
-	seedNet.Init(newRNG(33))
+	seedNet.Init(data.NewRand(33))
 	init := tensor.Clone(seedNet.Params())
 
 	w := comm.NewWorld(ranks, nil)

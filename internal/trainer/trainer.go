@@ -31,7 +31,6 @@ package trainer
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/checkpoint"
 	"repro/internal/collective"
@@ -44,8 +43,6 @@ import (
 	"repro/internal/simnet"
 	"repro/internal/tensor"
 )
-
-func newRNG(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 // Reduction selects the gradient combiner.
 type Reduction int
@@ -516,9 +513,6 @@ type run struct {
 	contributions [][]float32
 	losses        []float64
 
-	testX      []float32
-	testLabels []int
-
 	lr float64 // the current attempt's learning rate, for rankWorker
 
 	res           *Result
@@ -532,7 +526,7 @@ func newRun(cfg Config) *run {
 	if cfg.InitParams != nil {
 		master.SetParams(cfg.InitParams)
 	} else {
-		master.Init(newRNG(cfg.Seed))
+		master.Init(data.NewRand(cfg.Seed))
 	}
 	layout := master.Layout()
 	nParams := master.NumParams()
@@ -584,7 +578,6 @@ func newRun(cfg Config) *run {
 	if cfg.Parallel && cfg.Hook == nil {
 		r.engine.local = r.rankWorker
 	}
-	r.testX, r.testLabels = cfg.Test.Batch(seq(cfg.Test.N))
 	return r
 }
 
@@ -599,7 +592,7 @@ func newRun(cfg Config) *run {
 func (r *run) afterStep(epoch int) (stop bool) {
 	cfg := r.cfg
 	if cfg.EvalEverySteps > 0 && cfg.TargetAccuracy > 0 && r.step%cfg.EvalEverySteps == 0 {
-		acc := r.master.Accuracy(r.testX, r.testLabels, cfg.Test.N)
+		acc := r.master.Accuracy(cfg.Test.X, cfg.Test.Labels, cfg.Test.N)
 		switch {
 		case acc >= cfg.TargetAccuracy && !r.res.Converged:
 			r.res.Converged = true
@@ -620,7 +613,7 @@ func (r *run) afterStep(epoch int) (stop bool) {
 		}
 	}
 	if r.step%r.stepsPerEpoch == 0 {
-		acc := r.master.Accuracy(r.testX, r.testLabels, cfg.Test.N)
+		acc := r.master.Accuracy(cfg.Test.X, cfg.Test.Labels, cfg.Test.N)
 		r.recordEpoch(epoch, acc)
 		if cfg.TargetAccuracy > 0 && acc >= cfg.TargetAccuracy && !r.res.Converged && !cfg.Sustained {
 			r.res.Converged = true
@@ -887,14 +880,6 @@ func nextBatch(w *worker) ([]float32, []int, int) {
 	idx := w.iter.Next()
 	w.x, w.labels = w.shard.BatchInto(w.x, w.labels, idx)
 	return w.x, w.labels, len(idx)
-}
-
-func seq(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
 }
 
 // String renders a config compactly for experiment logs.
